@@ -41,12 +41,22 @@ of the longest run of consecutive ink that touches the region, where
 runs are traced across the full image and keep any length they gain
 outside the region. The per-line maxima are summed over the region's
 lines and the sum is divided by 1024.
+
+All three families are computed from tables fixed at import and
+array operations: shadows OR together per-pixel one-hot cell masks,
+and centroids are bincounts over the octant map. Longest runs come
+from run-length maps. Every scan line of every direction is one row of
+a -1-padded table of flat pixel indices, so gathering the raster
+through it gives 0/1 lines. Forward and backward ink counts (a
+cumulative sum less its value at the last blank cell) give each ink
+cell the length f + b - 1 of the run holding it. A line's value for a
+region is then the maximum of that map over the line's cells inside
+the region, and lines that miss the region contribute 0.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from pathlib import Path
 
 import numpy as np
@@ -66,102 +76,101 @@ _CENTER = 16.0
 _CELLS = 16
 _HALF = GRID // 2
 
-# Unit direction of each boundary ray, indexed by angle/45.
-_RAY = {0: (1, 0), 1: (1, 1), 2: (0, 1), 3: (-1, 1),
-        4: (-1, 0), 5: (-1, -1), 6: (0, -1), 7: (1, -1)}
+
+def _build_octant_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The (32, 32) octant map and the (1024, 24) shadow table.
+
+    The shadow table holds, per pixel and octant side, a 16-bit mask
+    with the bit of the cell holding the pixel's foot on that side set,
+    or 0 where the pixel casts no shadow into that octant. Sides run
+    octant-major in the order perimeter half-edge (from the center-line
+    end toward the corner), center-line segment and diagonal segment,
+    the last two from the center outward.
+    """
+    row, col = np.divmod(np.arange(GRID * GRID), GRID)
+    dx = (col + 0.5) - _CENTER
+    dy = _CENTER - (row + 0.5)
+    on_diag = np.abs(dx) == np.abs(dy)
+    # Even sector of each quadrant; off the diagonals its odd neighbour
+    # lies nearer the vertical axis in the NE and SW quadrants and nearer
+    # the horizontal axis in the NW and SE ones.
+    pair = np.where(dy > 0, np.where(dx > 0, 0, 2), np.where(dx < 0, 4, 6))
+    octant = pair + np.where(on_diag, np.abs(dx) >= _HALF / 2,
+                             (np.abs(dx) > np.abs(dy)) != (dx * dy > 0))
+
+    # Unit direction of each boundary ray, indexed by angle/45. Octant k
+    # lies between its center-line ray and its diagonal ray k | 1; side
+    # endpoints are taken relative to the center, like dx and dy.
+    ray = np.array([(1, 0), (1, 1), (0, 1), (-1, 1),
+                    (-1, 0), (-1, -1), (0, -1), (1, -1)])
+    k = np.arange(8)
+    mid, corner = _HALF * ray[(k + 1) // 2 * 2 % 8], _HALF * ray[k | 1]
+    a = np.stack([mid, 0 * mid, 0 * mid], axis=1).reshape(SHADOW_COUNT, 2)
+    b = np.stack([corner, mid, corner], axis=1).reshape(SHADOW_COUNT, 2)
+    # A pixel centered on a diagonal casts into both sectors of its pair.
+    members = (octant[:, None] == k) | (on_diag[:, None] & (pair[:, None] == k & ~1))
+    pix, side = np.nonzero(np.repeat(members, 3, axis=1))
+    (ax, ay), (vx, vy) = a[side].T, (b - a)[side].T
+    t = ((dx[pix] - ax) * vx + (dy[pix] - ay) * vy) / (vx * vx + vy * vy)
+    shadow = np.zeros((GRID * GRID, SHADOW_COUNT), dtype=np.uint16)
+    shadow[pix, side] = 1 << np.clip(np.floor(_CELLS * t), 0, _CELLS - 1).astype(int)
+    return octant.reshape(GRID, GRID).astype(np.int8), shadow
+
+
+_OCTANT_MAP, _SHADOW_TABLE = _build_octant_tables()
 
 
 def octant_of(row: int, col: int) -> int:
     """Sector index 0..7 of a pixel in the exclusive partition."""
     if not (0 <= row < GRID and 0 <= col < GRID):
         raise ValueError(f"pixel ({row}, {col}) outside the {GRID}x{GRID} raster")
-    dx = (col + 0.5) - _CENTER
-    dy = _CENTER - (row + 0.5)
-    adx, ady = abs(dx), abs(dy)
-    if dx > 0 and dy > 0:
-        pair = (0, 1)
-        primary = 0 if adx > ady else 1
-    elif dx < 0 and dy > 0:
-        pair = (2, 3)
-        primary = 3 if adx > ady else 2
-    elif dx < 0 and dy < 0:
-        pair = (4, 5)
-        primary = 4 if adx > ady else 5
-    else:
-        pair = (6, 7)
-        primary = 7 if adx > ady else 6
-    if adx == ady:
-        # On a diagonal: inner half to the even sector, outer to the odd.
-        return pair[0] if adx < _HALF / 2 else pair[1]
-    return primary
+    return int(_OCTANT_MAP[row, col])
 
 
-def _shadow_members(row: int, col: int) -> tuple[int, ...]:
-    """Octants a pixel casts shadows into (two when on a diagonal)."""
-    dx = (col + 0.5) - _CENTER
-    dy = _CENTER - (row + 0.5)
-    if abs(dx) == abs(dy):
-        if dx > 0 and dy > 0:
-            return (0, 1)
-        if dx < 0 and dy > 0:
-            return (2, 3)
-        if dx < 0 and dy < 0:
-            return (4, 5)
-        return (6, 7)
-    return (octant_of(row, col),)
+def _scan_lines(h: int, w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cells of every scan line of an h x w raster, per direction.
 
-
-def _octant_sides(k: int) -> list[tuple[tuple[float, float], tuple[float, float]]]:
-    """Endpoints of octant k's sides in x-right/y-up coordinates.
-
-    Order: perimeter half-edge (from the center-line end toward the
-    corner), center-line segment (center outward), diagonal segment
-    (center outward).
+    Returns (row, col, flat) arrays of shape (4, h + w - 1, max(h, w)):
+    direction (DIRECTIONS order), line, position along the line. Lines
+    are in row, column, row - col and row + col order; diagonal lines
+    are walked by row. Cells off the raster have flat index -1.
     """
-    if k % 2 == 0:
-        axis_ray, diag_ray = k, k + 1
-    else:
-        axis_ray, diag_ray = k + 1, k
-    ax, ay = _RAY[axis_ray % 8]
-    dxr, dyr = _RAY[diag_ray % 8]
-    c = (_CENTER, _CENTER)
-    m = (_CENTER + _HALF * ax, _CENTER + _HALF * ay)
-    corner = (_CENTER + _HALF * dxr, _CENTER + _HALF * dyr)
-    return [(m, corner), (c, m), (c, corner)]
+    line, pos = np.ogrid[:h + w - 1, :max(h, w)]
+    row = np.stack(np.broadcast_arrays(line, pos, pos, pos))
+    col = np.stack(np.broadcast_arrays(pos, line, pos + w - 1 - line, line - pos))
+    on = (row < h) & (col >= 0) & (col < w)
+    return row, col, np.where(on, row * w + col, -1)
 
 
-def _foot_cell(px: float, py: float, a: tuple[float, float],
-               b: tuple[float, float]) -> int:
-    vx, vy = b[0] - a[0], b[1] - a[1]
-    t = ((px - a[0]) * vx + (py - a[1]) * vy) / (vx * vx + vy * vy)
-    return min(_CELLS - 1, max(0, math.floor(_CELLS * t)))
+def _run_lengths(ink: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """Length of the ink run holding each scan-line cell, 0 off ink.
+
+    A run's length at a cell is the ink counted up to it from either
+    end of the run, f + b - 1.
+    """
+    cells = np.append(ink.ravel(), False)[flat]
+    # Smallest signed type holding f + b <= length + 1 (int8 at 32x32).
+    dtype = np.min_scalar_type(-2 * flat.shape[-1])
+
+    def upto(x):
+        n = np.cumsum(x, axis=-1, dtype=dtype)
+        return n - np.maximum.accumulate(np.where(x, 0, n), axis=-1)
+
+    return np.where(cells, upto(cells) + upto(cells[..., ::-1])[..., ::-1] - 1, 0)
 
 
-def _build_shadow_tables():
-    """Precompute, per octant, its member mask and per-side cell map."""
-    members = np.zeros((8, GRID, GRID), dtype=bool)
-    cells = np.zeros((8, 3, GRID, GRID), dtype=np.int8)
-    sides = [_octant_sides(k) for k in range(8)]
-    for r in range(GRID):
-        for c in range(GRID):
-            px, py = c + 0.5, GRID - (r + 0.5)
-            for k in _shadow_members(r, c):
-                members[k, r, c] = True
-                for s, (a, b) in enumerate(sides[k]):
-                    cells[k, s, r, c] = _foot_cell(px, py, a, b)
-    return members, cells
+def _build_region_tables() -> tuple[np.ndarray, np.ndarray]:
+    """32x32 scan-line flat indices and, per region, a (9, 4, lines,
+    positions) mask of the scan-line cells inside it."""
+    row, col, flat = _scan_lines(GRID, GRID)
+    top = np.array([0, 8, 16]).reshape(-1, 1, 1, 1)
+    in_rows = (top <= row) & (row < top + _HALF)
+    in_cols = (top <= col) & (col < top + _HALF)
+    inside = (in_rows[:, None] & in_cols[None]).reshape(9, *row.shape)
+    return flat.astype(np.int16), inside
 
 
-def _build_octant_map() -> np.ndarray:
-    out = np.empty((GRID, GRID), dtype=np.int8)
-    for r in range(GRID):
-        for c in range(GRID):
-            out[r, c] = octant_of(r, c)
-    return out
-
-
-_OCTANT_MAP = _build_octant_map()
-_SHADOW_MEMBERS, _SHADOW_CELLS = _build_shadow_tables()
+_LINE_FLAT, _REGION_CELLS = _build_region_tables()
 
 
 def _check_canonical(img: np.ndarray) -> np.ndarray:
@@ -176,46 +185,20 @@ def _check_canonical(img: np.ndarray) -> np.ndarray:
 def shadow_features(img: np.ndarray) -> np.ndarray:
     """24 projection-coverage values, octant-major, sides in the order
     (perimeter, center line, diagonal)."""
-    ink = _check_canonical(img)
-    out = np.zeros(SHADOW_COUNT)
-    for k in range(8):
-        sel = ink & _SHADOW_MEMBERS[k]
-        for s in range(3):
-            marked = np.unique(_SHADOW_CELLS[k, s][sel])
-            out[3 * k + s] = marked.size / _CELLS
-    return out
+    ink = _check_canonical(img).ravel()
+    marked = np.bitwise_or.reduce(_SHADOW_TABLE[ink], axis=0)
+    bits = np.unpackbits(marked.view(np.uint8)).reshape(SHADOW_COUNT, _CELLS)
+    return bits.sum(axis=1) / _CELLS
 
 
 def centroid_features(img: np.ndarray) -> np.ndarray:
     """16 values: (mean row, mean col) / 31 per octant, 0s when empty."""
-    ink = _check_canonical(img)
-    out = np.zeros(CENTROID_COUNT)
-    rows, cols = np.nonzero(ink)
-    octs = _OCTANT_MAP[rows, cols]
-    for k in range(8):
-        sel = octs == k
-        if sel.any():
-            out[2 * k] = rows[sel].mean() / (GRID - 1)
-            out[2 * k + 1] = cols[sel].mean() / (GRID - 1)
-    return out
-
-
-def _runs(line: np.ndarray) -> list[tuple[int, int]]:
-    """Maximal runs of 1s in a 1-D 0/1 array as (start, length) pairs."""
-    padded = np.concatenate(([0], np.asarray(line, dtype=np.int8), [0]))
-    steps = np.diff(padded)
-    starts = np.flatnonzero(steps == 1)
-    ends = np.flatnonzero(steps == -1)
-    return [(int(s), int(e - s)) for s, e in zip(starts, ends)]
-
-
-def _longest_touching(runs: list[tuple[int, int]], lo: int, hi: int) -> int:
-    """Longest run overlapping positions [lo, hi], 0 if none does."""
-    best = 0
-    for start, length in runs:
-        if start <= hi and start + length - 1 >= lo and length > best:
-            best = length
-    return best
+    pixels = np.flatnonzero(_check_canonical(img))
+    octs = _OCTANT_MAP.ravel()[pixels]
+    rows, cols = np.divmod(pixels, GRID)
+    sums = np.stack([np.bincount(octs, rows, 8), np.bincount(octs, cols, 8)], axis=1)
+    counts = np.maximum(np.bincount(octs, minlength=8), 1)
+    return (sums / counts[:, None]).ravel() / (GRID - 1)
 
 
 def longest_runs_by_line(img: np.ndarray, rows: tuple[int, int],
@@ -232,41 +215,15 @@ def longest_runs_by_line(img: np.ndarray, rows: tuple[int, int],
     if img.ndim != 2:
         raise ValueError(f"expected a 2-D raster, got shape {img.shape}")
     h, w = img.shape
-    r0, r1 = rows
-    c0, c1 = cols
+    (r0, r1), (c0, c1) = rows, cols
     if not (0 <= r0 <= r1 < h and 0 <= c0 <= c1 < w):
         raise ValueError(f"window {rows}x{cols} outside a {h}x{w} raster")
-    out = []
-    if direction == "row":
-        for r in range(r0, r1 + 1):
-            out.append(_longest_touching(_runs(img[r]), c0, c1))
-    elif direction == "column":
-        for c in range(c0, c1 + 1):
-            out.append(_longest_touching(_runs(img[:, c]), r0, r1))
-    elif direction == "diag_main":
-        # Constant row - col. Positions along a line are row indices.
-        for d in range(r0 - c1, r1 - c0 + 1):
-            line = np.diagonal(img, offset=-d)
-            base = max(0, d)  # row index of the line's first cell
-            lo = max(r0, c0 + d) - base
-            hi = min(r1, c1 + d) - base
-            out.append(_longest_touching(_runs(line), lo, hi))
-    elif direction == "diag_anti":
-        # Constant row + col; flip columns to reuse the diagonal walk.
-        flipped = np.fliplr(img)
-        for s in range(r0 + c0, r1 + c1 + 1):
-            k = w - 1 - s
-            line = np.diagonal(flipped, offset=k)
-            base = max(0, -k)
-            lo = max(r0, s - c1) - base
-            hi = min(r1, s - c0) - base
-            out.append(_longest_touching(_runs(line), lo, hi))
-    else:
+    if direction not in DIRECTIONS:
         raise ValueError(f"unknown direction {direction!r}")
-    return out
-
-
-_REGION_CORNERS = [(r, c) for r in (0, 8, 16) for c in (0, 8, 16)]
+    row, col, flat = (a[DIRECTIONS.index(direction)] for a in _scan_lines(h, w))
+    inside = (r0 <= row) & (row <= r1) & (c0 <= col) & (col <= c1)
+    best = np.where(inside, _run_lengths(img != 0, flat), 0).max(axis=1)
+    return best[inside.any(axis=1)].tolist()
 
 
 def longest_run_features(img: np.ndarray) -> np.ndarray:
@@ -276,16 +233,9 @@ def longest_run_features(img: np.ndarray) -> np.ndarray:
     in row-major order; directions follow DIRECTIONS. Each sum is
     divided by 1024.
     """
-    ink = _check_canonical(img).astype(np.uint8)
-    out = np.zeros(LONGEST_RUN_COUNT)
-    i = 0
-    for r0, c0 in _REGION_CORNERS:
-        window = ((r0, r0 + _HALF - 1), (c0, c0 + _HALF - 1))
-        for direction in DIRECTIONS:
-            values = longest_runs_by_line(ink, window[0], window[1], direction)
-            out[i] = sum(values) / (GRID * GRID)
-            i += 1
-    return out
+    runs = _run_lengths(_check_canonical(img), _LINE_FLAT)
+    best = (runs * _REGION_CELLS).max(axis=-1)
+    return best.sum(axis=-1).ravel() / (GRID * GRID)
 
 
 def extract_features(img: np.ndarray) -> np.ndarray:

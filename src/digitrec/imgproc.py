@@ -62,25 +62,19 @@ def otsu_threshold(gray: np.ndarray) -> int:
     gray = np.asarray(gray, dtype=np.uint8)
     hist = np.bincount(gray.ravel(), minlength=256).astype(np.float64)
     total = hist.sum()
-    best_t, best_var = 1, -1.0
-    cum_n = np.cumsum(hist)
     cum_v = np.cumsum(hist * np.arange(256))
-    mean_all = cum_v[-1] / total
-    for t in range(1, 256):
-        n0 = cum_n[t - 1]
-        n1 = total - n0
-        if n0 == 0 or n1 == 0:
-            continue
-        mu0 = cum_v[t - 1] / n0
-        mu1 = (cum_v[-1] - cum_v[t - 1]) / n1
-        var = n0 * n1 * (mu0 - mu1) ** 2
-        if var > best_var:
-            best_t, best_var = t, var
-    if best_var < 0:
+    # Index t - 1 holds the split at t: n0 pixels below t, n1 at or above.
+    n0 = np.cumsum(hist)[:-1]
+    n1 = total - n0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        var = n0 * n1 * (cum_v[:-1] / n0 - (cum_v[-1] - cum_v[:-1]) / n1) ** 2
+    var[(n0 == 0) | (n1 == 0)] = -1
+    if var.max() < 0:
         # Flat image: every split is empty on one side. Any threshold
         # is as good as another; keep the deterministic fallback.
+        mean_all = cum_v[-1] / total
         return int(mean_all) + 1 if mean_all < 255 else 255
-    return best_t
+    return int(np.argmax(var)) + 1
 
 
 def minimal_bounding_box(binary: np.ndarray) -> BoundingBox:

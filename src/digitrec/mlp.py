@@ -8,6 +8,7 @@ checked on tiny networks, but the digit pipeline always builds
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -82,6 +83,9 @@ class TrainingConfig:
     def __post_init__(self):
         if self.hidden_size < 1:
             raise ValueError("hidden_size must be at least 1")
+        for name in ("learning_rate", "momentum", "stop_tolerance"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be non-negative")
         if not 0 <= self.momentum < 1:

@@ -2,11 +2,13 @@
 
 Both the ASCII (P2) and binary (P5) variants are supported, with a
 maximum gray value of 255. Images are exchanged as 2-D uint8 numpy
-arrays indexed [row, col].
+arrays indexed [row, col]; samples of a file whose maxval is below 255
+are rescaled to 0..255 on read, so thresholds always use that scale.
 """
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +43,9 @@ def _tokens(data: bytes):
 
 def read_pgm(path: str | Path) -> np.ndarray:
     """Read a P2 or P5 file and return a (height, width) uint8 array.
+
+    With maxval below 255 each sample v becomes the nearest integer to
+    v * 255 / maxval, (v * 255 + maxval // 2) // maxval.
 
     Raises PgmError on a bad magic number, malformed header, maxval
     above 255, or a raster with the wrong number of samples.
@@ -83,17 +88,18 @@ def read_pgm(path: str | Path) -> np.ndarray:
             raise PgmError(f"{len(raster) - count} trailing bytes after raster")
         img = np.frombuffer(raster[:count], dtype=np.uint8)
     else:
-        values = []
-        for tok, end in header:
-            if not tok.isdigit():
-                raise PgmError(f"malformed sample {tok!r}")
-            values.append(int(tok))
-        if len(values) != count:
-            raise PgmError(f"raster has {len(values)} samples, expected {count}")
-        img = np.array(values, dtype=np.int64)
+        samples = re.sub(rb"#[^\r\n]*", b" ", data[end:]).split()
+        bad = next((tok for tok in samples if not tok.isdigit()), None)
+        if bad is not None:
+            raise PgmError(f"malformed sample {bad!r}")
+        if len(samples) != count:
+            raise PgmError(f"raster has {len(samples)} samples, expected {count}")
+        img = np.array([int(tok) for tok in samples], dtype=np.int64)
 
     if img.max(initial=0) > maxval:
         raise PgmError(f"sample exceeds declared maxval {maxval}")
+    if maxval < 255:
+        img = (img.astype(np.int64) * 255 + maxval // 2) // maxval
     return img.astype(np.uint8).reshape(height, width)
 
 

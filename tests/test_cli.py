@@ -168,6 +168,14 @@ def test_train_rejects_bad_hyperparameters(feature_csv, tmp_path):
                  str(tmp_path / "m.mlp"), "--momentum", "1.0"]) == 1
 
 
+def test_train_rejects_non_finite_learning_rate(feature_csv, tmp_path, capsys):
+    out = tmp_path / "m.mlp"
+    assert main(["train", str(feature_csv), "--model-out", str(out),
+                 "--lr", "nan"]) == 1
+    assert "learning_rate must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # predict
 

@@ -1,8 +1,13 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from digitrec.evaluation import make_toy_dataset
 from digitrec.features import (CENTROID_COUNT, CSV_HEADER, DIRECTIONS,
                                FEATURE_COUNT, LONGEST_RUN_COUNT, SHADOW_COUNT,
                                centroid_features, extract_features,
@@ -139,6 +144,14 @@ def oracle_runs_by_line(img, rows, cols, direction):
             cells = diagonal_cells(img.shape, direction, s)
             out.append(oracle_line_longest(img, cells, in_window))
     return out
+
+
+REGION_CORNERS = [(r, c) for r in (0, 8, 16) for c in (0, 8, 16)]
+
+
+def oracle_longest_run(img):
+    return np.array([sum(oracle_runs_by_line(img, (r0, r0 + 15), (c0, c0 + 15), d)) / 1024
+                     for r0, c0 in REGION_CORNERS for d in DIRECTIONS])
 
 
 def random_raster(rng, density=0.35):
@@ -363,6 +376,64 @@ def test_runs_by_line_rejects_bad_arguments():
         longest_runs_by_line(img, (0, 15), (0, 40), "row")
     with pytest.raises(ValueError):
         longest_runs_by_line(img, (0, 15), (0, 15), "spiral")
+
+
+# ---------------------------------------------------------------------------
+# Properties against the oracles
+
+# Mostly-uniform rasters that shrink well, and seeded ones of any density.
+rasters = st.one_of(
+    arrays(np.uint8, (GRID, GRID), elements=st.integers(0, 1)),
+    st.builds(lambda seed, density: random_raster(
+        np.random.Generator(np.random.PCG64(seed)), density),
+        st.integers(0, 2**32 - 1), st.floats(0, 1)))
+
+
+@st.composite
+def rasters_with_window(draw):
+    h, w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    img = draw(arrays(np.uint8, (h, w), elements=st.integers(0, 1)))
+    r0 = draw(st.integers(0, h - 1))
+    c0 = draw(st.integers(0, w - 1))
+    rows = (r0, draw(st.integers(r0, h - 1)))
+    cols = (c0, draw(st.integers(c0, w - 1)))
+    return img, rows, cols, draw(st.sampled_from(DIRECTIONS))
+
+
+@settings(deadline=None)
+@given(rasters)
+def test_shadow_equals_oracle(img):
+    np.testing.assert_array_equal(shadow_features(img), oracle_shadow(img))
+
+
+@settings(deadline=None)
+@given(rasters)
+def test_centroid_equals_oracle(img):
+    np.testing.assert_array_equal(centroid_features(img), oracle_centroid(img))
+
+
+@settings(deadline=None, max_examples=50)
+@given(rasters)
+def test_longest_run_equals_oracle(img):
+    np.testing.assert_array_equal(longest_run_features(img), oracle_longest_run(img))
+
+
+@settings(deadline=None, max_examples=300)
+@given(rasters_with_window())
+def test_runs_by_line_equals_oracle(case):
+    img, rows, cols, direction = case
+    assert (longest_runs_by_line(img, rows, cols, direction)
+            == oracle_runs_by_line(img, rows, cols, direction))
+
+
+def test_toy_corpus_features_are_pinned():
+    # Any change to any bit of any feature changes this digest of the
+    # 100 x 76 float64 matrix; re-pin it only for a deliberate change.
+    data = make_toy_dataset(10, 0.05, 7)
+    matrix = np.stack([s.features for s in data.samples])
+    assert matrix.shape == (100, FEATURE_COUNT)
+    assert hashlib.sha256(matrix.tobytes()).hexdigest() == (
+        "bfcee255dd569311aaccca131b6d5c578d262bd8246b99f6a53e58f2dd0333b2")
 
 
 # ---------------------------------------------------------------------------

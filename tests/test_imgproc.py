@@ -159,6 +159,45 @@ def test_normalize_touches_all_four_borders():
         assert out[:, 0].any() and out[:, -1].any()
 
 
+def oracle_otsu(gray):
+    """The candidate-by-candidate scan, strict > so ties keep the smallest t."""
+    gray = np.asarray(gray, dtype=np.uint8)
+    hist = np.bincount(gray.ravel(), minlength=256).astype(np.float64)
+    total = hist.sum()
+    best_t, best_var = 1, -1.0
+    cum_n = np.cumsum(hist)
+    cum_v = np.cumsum(hist * np.arange(256))
+    mean_all = cum_v[-1] / total
+    for t in range(1, 256):
+        n0 = cum_n[t - 1]
+        n1 = total - n0
+        if n0 == 0 or n1 == 0:
+            continue
+        mu0 = cum_v[t - 1] / n0
+        mu1 = (cum_v[-1] - cum_v[t - 1]) / n1
+        var = n0 * n1 * (mu0 - mu1) ** 2
+        if var > best_var:
+            best_t, best_var = t, var
+    if best_var < 0:
+        return int(mean_all) + 1 if mean_all < 255 else 255
+    return best_t
+
+
+def test_otsu_matches_the_scan_on_random_and_few_level_images():
+    rng = np.random.Generator(np.random.PCG64(10))
+    for i in range(300):
+        shape = tuple(int(n) for n in rng.integers(1, 40, size=2))
+        if i % 2:
+            levels = rng.choice(256, size=int(rng.integers(1, 5)), replace=False)
+            gray = rng.choice(levels, size=shape).astype(np.uint8)
+        else:
+            gray = rng.integers(0, 256, size=shape, dtype=np.uint8)
+        assert otsu_threshold(gray) == oracle_otsu(gray), gray.tolist()
+    for v in (0, 17, 254, 255):  # flat images take the fallback
+        gray = np.full((3, 4), v, dtype=np.uint8)
+        assert otsu_threshold(gray) == oracle_otsu(gray)
+
+
 def test_otsu_separates_bimodal_image():
     rng = np.random.Generator(np.random.PCG64(8))
     lo = rng.integers(5, 40, size=200)

@@ -65,6 +65,13 @@ def test_config_validation():
     small_config(learning_rate=0.0, max_epochs=0)
 
 
+def test_config_rejects_non_finite_hyperparameters():
+    for name in ("learning_rate", "momentum", "stop_tolerance"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                small_config(**{name: value})
+
+
 def test_labeled_sample_validation():
     with pytest.raises(ValueError):
         LabeledSample(np.zeros((2, 2)), 1)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from digitrec.imgproc import normalize_image
 from digitrec.pgm import PgmError, read_pgm, write_pgm
 
 
@@ -29,7 +30,26 @@ def test_p2_with_comments_and_odd_whitespace(tmp_path):
 def test_p2_respects_smaller_maxval(tmp_path):
     path = tmp_path / "img.pgm"
     path.write_text("P2\n2 1\n9\n0 9\n")
-    np.testing.assert_array_equal(read_pgm(path), [[0, 9]])
+    np.testing.assert_array_equal(read_pgm(path), [[0, 255]])
+
+
+def test_smaller_maxval_rescales_to_nearest_level(tmp_path):
+    path = tmp_path / "img.pgm"
+    path.write_bytes(b"P5\n4 1\n15\n" + bytes([0, 1, 7, 15]))
+    # round(v * 255 / 15) = 17 * v
+    np.testing.assert_array_equal(read_pgm(path), [[0, 17, 119, 255]])
+
+
+def test_low_maxval_scan_is_not_all_ink(tmp_path):
+    # Paper at 15 (white on a maxval-15 scale), a dark ring as ink.
+    img = np.full((20, 16), 15, dtype=np.uint8)
+    img[4:16, 4:12] = 0
+    img[7:13, 7:9] = 15
+    rows = [" ".join(str(v) for v in row) for row in img]
+    path = tmp_path / "img.pgm"
+    path.write_text("P2\n16 20\n15\n" + "\n".join(rows) + "\n")
+    raster = normalize_image(read_pgm(path), 128)
+    assert 0 < raster.mean() < 1
 
 
 def test_bad_magic(tmp_path):
