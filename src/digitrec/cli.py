@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluation, features, imgproc, mlp, pgm
+from ._atomic import atomic_open
 
 
 class UsageError(Exception):
@@ -80,8 +81,9 @@ def load_corpus(root: str | Path, threshold: int | None,
     """Read a directory tree of PGMs into a feature dataset.
 
     The root holds one subdirectory per class, named 0..9. Files are
-    visited in sorted order. Images with no ink are skipped and
-    returned in the second element; any other unreadable file aborts.
+    visited in sorted order. Images with no ink are skipped with a
+    warning and returned in the second element; any other unreadable
+    file aborts.
     """
     root = Path(root)
     if not root.is_dir():
@@ -102,6 +104,7 @@ def load_corpus(root: str | Path, threshold: int | None,
             try:
                 vec = _image_to_features(path, threshold, invert)
             except imgproc.NoForegroundError:
+                print(f"warning: no ink in {path}, skipped", file=sys.stderr)
                 skipped.append(str(path))
                 continue
             except (pgm.PgmError, OSError) as exc:
@@ -120,10 +123,7 @@ def _load_dataset(path_text: str, threshold: int | None,
     """A corpus directory, or a feature CSV written by extract."""
     path = Path(path_text)
     if path.is_dir():
-        data, skipped = load_corpus(path, threshold, invert)
-        for item in skipped:
-            print(f"warning: no ink in {item}, skipped", file=sys.stderr)
-        return data
+        return load_corpus(path, threshold, invert)[0]
     if not path.exists():
         raise DataError(f"{path}: no such file or directory")
     try:
@@ -137,24 +137,22 @@ def _load_dataset(path_text: str, threshold: int | None,
     return evaluation.Dataset(samples, provenance)
 
 
-def _training_config(args) -> mlp.TrainingConfig:
+def _training_inputs(args) -> tuple[mlp.TrainingConfig, evaluation.Dataset]:
+    """(config, dataset) for train, crossval and sweep; flags are checked first."""
+    if getattr(args, "folds", 2) < 2:
+        raise UsageError(f"--folds must be at least 2, got {args.folds}")
+    threshold = parse_threshold(args.threshold)
     try:
-        return mlp.TrainingConfig(
-            hidden_size=getattr(args, "hidden", 65),
-            learning_rate=args.lr,
-            momentum=args.momentum,
-            max_epochs=args.epochs,
-            seed=args.seed,
-        )
+        config = mlp.TrainingConfig(
+            hidden_size=getattr(args, "hidden", 65), learning_rate=args.lr,
+            momentum=args.momentum, max_epochs=args.epochs, seed=args.seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    return config, _load_dataset(args.data, threshold, args.invert)
 
 
 def cmd_extract(args) -> int:
-    threshold = parse_threshold(args.threshold)
-    data, skipped = load_corpus(args.data_dir, threshold, args.invert)
-    for item in skipped:
-        print(f"warning: no ink in {item}, skipped", file=sys.stderr)
+    data = load_corpus(args.data_dir, parse_threshold(args.threshold), args.invert)[0]
     features.write_features_csv(
         args.out, [s.label for s in data.samples], [s.features for s in data.samples])
     print(f"wrote {len(data)} rows to {args.out}", file=sys.stderr)
@@ -162,17 +160,15 @@ def cmd_extract(args) -> int:
 
 
 def cmd_train(args) -> int:
-    threshold = parse_threshold(args.threshold)
-    config = _training_config(args)
-    data = _load_dataset(args.data, threshold, args.invert)
+    config, data = _training_inputs(args)
     if len(set(data.labels())) < 2:
         raise DataError("training needs at least two distinct classes")
     model = mlp.init_model(config)
     model, history = mlp.train(model, data.samples, config)
     mlp.save_model(args.model_out, model)
-    sse = sum(mlp.sample_error(model, s) for s in data.samples)
-    correct = sum(mlp.predict(model, s.features) == s.label for s in data.samples)
-    accuracy = 100.0 * correct / len(data)
+    outs = [(mlp.forward(model, s.features), s.label) for s in data.samples]
+    sse = sum(mlp._error(out, label)[1] for out, label in outs)
+    accuracy = 100.0 * sum(int(np.argmax(out)) == label for out, label in outs) / len(data)
     print(f"epochs {len(history)}", file=sys.stderr)
     print(f"sse {sse:.6f}")
     print(f"accuracy {evaluation.format_accuracy(accuracy)}")
@@ -194,27 +190,20 @@ def cmd_predict(args) -> int:
 
 
 def cmd_crossval(args) -> int:
-    if args.folds < 2:
-        raise UsageError(f"--folds must be at least 2, got {args.folds}")
-    threshold = parse_threshold(args.threshold)
-    config = _training_config(args)
-    data = _load_dataset(args.data, threshold, args.invert)
+    config, data = _training_inputs(args)
     report = evaluation.cross_validate(data, config, args.folds)
     evaluation.write_report_csv(args.report_out, report)
     confusion_path = Path(args.report_out).with_suffix(".confusion.txt")
-    confusion_path.write_text(evaluation.format_confusion(report.confusion))
+    with atomic_open(confusion_path) as fh:
+        fh.write(evaluation.format_confusion(report.confusion))
     print(f"wrote {args.report_out} and {confusion_path}", file=sys.stderr)
     print(f"mean accuracy {evaluation.format_accuracy(report.mean_accuracy)}")
     return 0
 
 
 def cmd_sweep(args) -> int:
-    if args.folds < 2:
-        raise UsageError(f"--folds must be at least 2, got {args.folds}")
     sizes = parse_sizes(args.sizes)
-    threshold = parse_threshold(args.threshold)
-    config = _training_config(args)
-    data = _load_dataset(args.data, threshold, args.invert)
+    config, data = _training_inputs(args)
     rows, best = evaluation.sweep_hidden(data, sizes, config, args.folds)
     evaluation.write_sweep_csv(args.report_out, rows)
     print(f"wrote {args.report_out}", file=sys.stderr)
@@ -290,16 +279,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    except UsageError as exc:
-        print(f"digitrec: {exc}", file=sys.stderr)
-        return 1
-    try:
-        return args.func(args)
     except UsageError as exc:
         print(f"digitrec: {exc}", file=sys.stderr)
         return 1

@@ -14,6 +14,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._atomic import atomic_open
 from .features import extract_features
 from .imgproc import GRID
 from .mlp import (OUTPUT_SIZE, LabeledSample, TrainingConfig, init_model,
@@ -137,11 +138,10 @@ def cross_validate(data: Dataset, config: TrainingConfig, k: int = 3,
         train_samples = [data.samples[i] for i in plan.train_indices(fold)]
         classify = trainer(train_samples, fold_config)
         test_samples = [data.samples[i] for i in plan.test_indices(fold)]
-        truths = [s.label for s in test_samples]
-        preds = [classify(s) for s in test_samples]
-        correct = sum(t == p for t, p in zip(truths, preds))
-        per_fold.append(100.0 * correct / len(test_samples))
-        confusion += confusion_matrix(truths, preds)
+        fold_confusion = confusion_matrix([s.label for s in test_samples],
+                                          [classify(s) for s in test_samples])
+        per_fold.append(100.0 * int(np.trace(fold_confusion)) / len(test_samples))
+        confusion += fold_confusion
     mean = sum(per_fold) / k
     return EvaluationReport(k, per_fold, mean, confusion, config)
 
@@ -182,7 +182,8 @@ def write_report_csv(path: str | Path, report: EvaluationReport) -> None:
     for i, acc in enumerate(report.per_fold_accuracy, start=1):
         lines.append(f"{i},{format_accuracy(acc)}")
     lines.append(f"mean,{format_accuracy(report.mean_accuracy)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    with atomic_open(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_sweep_csv(path: str | Path,
@@ -194,7 +195,8 @@ def write_sweep_csv(path: str | Path,
         cells = [str(size)] + [format_accuracy(a) for a in per_fold]
         cells.append(format_accuracy(mean))
         lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n")
+    with atomic_open(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def format_confusion(mat: np.ndarray) -> str:

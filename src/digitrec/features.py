@@ -61,6 +61,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._atomic import atomic_open
 from .imgproc import GRID
 
 FEATURE_COUNT = 76
@@ -253,7 +254,7 @@ def write_features_csv(path: str | Path, labels, vectors) -> None:
     vectors = list(vectors)
     if len(labels) != len(vectors):
         raise ValueError("labels and vectors differ in length")
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
         for label, vec in zip(labels, vectors):

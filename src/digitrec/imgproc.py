@@ -26,14 +26,6 @@ class BoundingBox(NamedTuple):
     col_min: int
     col_max: int
 
-    @property
-    def height(self) -> int:
-        return self.row_max - self.row_min + 1
-
-    @property
-    def width(self) -> int:
-        return self.col_max - self.col_min + 1
-
 
 def binarize(gray: np.ndarray, threshold: int = DEFAULT_THRESHOLD,
              invert: bool = False) -> np.ndarray:
@@ -128,7 +120,4 @@ def normalize_image(gray: np.ndarray, threshold: int | None = DEFAULT_THRESHOLD,
     t = otsu_threshold(gray) if threshold is None else threshold
     box = minimal_bounding_box(binarize(gray, t, invert))
     crop = gray[box.row_min:box.row_max + 1, box.col_min:box.col_max + 1]
-    scaled = bilinear_resize(crop.astype(np.float64), GRID, GRID)
-    if invert:
-        return (scaled >= t).astype(np.uint8)
-    return (scaled < t).astype(np.uint8)
+    return binarize(bilinear_resize(crop.astype(np.float64), GRID, GRID), t, invert)

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._atomic import atomic_open
 from .features import FEATURE_COUNT
 
 INPUT_SIZE = FEATURE_COUNT
@@ -86,14 +87,11 @@ class TrainingConfig:
         for name in ("learning_rate", "momentum", "stop_tolerance"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be non-negative")
+        for name in ("learning_rate", "max_epochs", "stop_tolerance"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
         if not 0 <= self.momentum < 1:
             raise ValueError("momentum must lie in [0, 1)")
-        if self.max_epochs < 0:
-            raise ValueError("max_epochs must be non-negative")
-        if self.stop_tolerance < 0:
-            raise ValueError("stop_tolerance must be non-negative")
         if self.patience < 1:
             raise ValueError("patience must be at least 1")
 
@@ -109,9 +107,7 @@ class MlpModel:
 
     @property
     def layer_sizes(self) -> list[int]:
-        sizes = [self.weights[0].shape[1] - 1]
-        sizes.extend(w.shape[0] for w in self.weights)
-        return sizes
+        return [self.input_size] + [w.shape[0] for w in self.weights]
 
     @property
     def input_size(self) -> int:
@@ -154,18 +150,18 @@ def _check_input(model: MlpModel, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _activations(model: MlpModel, x: np.ndarray) -> list[np.ndarray]:
-    """Layer outputs from input to output, inclusive."""
-    acts = [x]
+def _layer_inputs(model: MlpModel, x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """Each layer's input with the bias input 1 appended, and the output."""
+    inputs = []
     for w in model.weights:
-        biased = np.concatenate([acts[-1], [1.0]])
-        acts.append(sigmoid(w @ biased))
-    return acts
+        inputs.append(np.concatenate([x, [1.0]]))
+        x = sigmoid(w @ inputs[-1])
+    return inputs, x
 
 
 def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
     """Output activations for one feature vector."""
-    return _activations(model, _check_input(model, x))[-1]
+    return _layer_inputs(model, _check_input(model, x))[1]
 
 
 def predict(model: MlpModel, x: np.ndarray) -> int:
@@ -173,27 +169,25 @@ def predict(model: MlpModel, x: np.ndarray) -> int:
     return int(np.argmax(forward(model, x)))
 
 
-def _target_vector(label: int, size: int) -> np.ndarray:
-    t = np.zeros(size)
-    t[label] = 1.0
-    return t
+def _error(out: np.ndarray, label: int) -> tuple[np.ndarray, float]:
+    """out - target for the one-of-n target of label, and E = 0.5 * ||out - target||^2."""
+    diff = out.copy()
+    diff[label] -= 1.0
+    return diff, 0.5 * float(diff @ diff)
 
 
 def _backprop(model: MlpModel, x: np.ndarray, label: int) -> tuple[list[np.ndarray], float]:
     """Gradients of E = 0.5 * ||target - output||^2, plus E itself."""
-    acts = _activations(model, x)
-    target = _target_vector(label, model.output_size)
-    diff = target - acts[-1]
-    error = 0.5 * float(diff @ diff)
+    inputs, out = _layer_inputs(model, x)
+    diff, error = _error(out, label)
     grads: list[np.ndarray] = [np.empty(0)] * len(model.weights)
     # Output delta, then walk the layers backward.
-    delta = (acts[-1] - target) * acts[-1] * (1.0 - acts[-1])
+    delta = diff * out * (1.0 - out)
     for i in range(len(model.weights) - 1, -1, -1):
-        biased = np.concatenate([acts[i], [1.0]])
-        grads[i] = np.outer(delta, biased)
+        grads[i] = np.outer(delta, inputs[i])
         if i > 0:
-            back = model.weights[i][:, :-1].T @ delta
-            delta = back * acts[i] * (1.0 - acts[i])
+            act = inputs[i][:-1]
+            delta = (model.weights[i][:, :-1].T @ delta) * act * (1.0 - act)
     return grads, error
 
 
@@ -205,9 +199,7 @@ def gradient(model: MlpModel, sample: LabeledSample) -> list[np.ndarray]:
 
 def sample_error(model: MlpModel, sample: LabeledSample) -> float:
     """0.5 * squared error of one sample."""
-    out = forward(model, sample.features)
-    diff = _target_vector(sample.label, model.output_size) - out
-    return 0.5 * float(diff @ diff)
+    return _error(forward(model, sample.features), sample.label)[1]
 
 
 def train(model: MlpModel, data: list[LabeledSample],
@@ -266,11 +258,10 @@ def save_model(path, model: MlpModel) -> None:
     weight matrix in row-major float64 with the bias column last.
     """
     sizes = model.layer_sizes
-    parts = [MAGIC, struct.pack("<II", FORMAT_VERSION, len(sizes))]
-    parts.append(struct.pack(f"<{len(sizes)}I", *sizes))
+    parts = [MAGIC, struct.pack(f"<II{len(sizes)}I", FORMAT_VERSION, len(sizes), *sizes)]
     for w in model.weights:
         parts.append(np.ascontiguousarray(w, dtype="<f8").tobytes())
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(b"".join(parts))
 
 

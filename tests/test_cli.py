@@ -106,6 +106,14 @@ def test_extract_reports_the_broken_file(tmp_path, capsys):
     assert "broken.pgm" in capsys.readouterr().err
 
 
+def test_extract_rejects_a_sample_past_int64(tmp_path, capsys):
+    root = tmp_path / "corpus"
+    write_corpus(root, labels=[3], copies=1)
+    (root / "3" / "huge.pgm").write_text("P2\n2 1\n255\n0 99999999999999999999\n")
+    assert main(["extract", str(root), str(tmp_path / "o.csv")]) == 2
+    assert "huge.pgm" in capsys.readouterr().err
+
+
 def test_extract_inverted_corpus(tmp_path):
     root = tmp_path / "corpus"
     root.joinpath("5").mkdir(parents=True)

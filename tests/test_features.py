@@ -484,3 +484,13 @@ def test_feature_csv_rejects_malformed_input(tmp_path):
     path.write_text("\n".join(rows) + "\n")
     with pytest.raises(ValueError, match="label"):
         read_features_csv(path)
+
+
+def test_write_features_csv_keeps_the_old_file_on_failure(tmp_path):
+    out = tmp_path / "features.csv"
+    write_features_csv(out, [3, 4], [np.full(FEATURE_COUNT, 0.5)] * 2)
+    before = out.read_bytes()
+    with pytest.raises(ValueError):
+        write_features_csv(out, [0, 1], [np.zeros(FEATURE_COUNT), np.zeros(5)])
+    assert out.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["features.csv"]

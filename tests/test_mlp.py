@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from digitrec.evaluation import make_toy_dataset
 from digitrec.mlp import (INPUT_SIZE, OUTPUT_SIZE, BadMagicError,
                           DimensionMismatchError, EmptyDatasetError,
                           LabeledSample, MlpModel, ShapeMismatchError,
@@ -341,3 +342,67 @@ def test_load_rejects_malformed_streams(tmp_path):
         path.write_bytes(blob)
         with pytest.raises(exc):
             load_model(path)
+
+
+# ---------------------------------------------------------------------------
+# Model bytes, against the earlier training loop as an oracle
+
+def oracle_activations(model, x):
+    acts = [x]
+    for w in model.weights:
+        biased = np.concatenate([acts[-1], [1.0]])
+        acts.append(sigmoid(w @ biased))
+    return acts
+
+
+def oracle_backprop(model, x, label):
+    acts = oracle_activations(model, x)
+    target = np.zeros(model.output_size)
+    target[label] = 1.0
+    diff = target - acts[-1]
+    error = 0.5 * float(diff @ diff)
+    grads = [np.empty(0)] * len(model.weights)
+    delta = (acts[-1] - target) * acts[-1] * (1.0 - acts[-1])
+    for i in range(len(model.weights) - 1, -1, -1):
+        biased = np.concatenate([acts[i], [1.0]])
+        grads[i] = np.outer(delta, biased)
+        if i > 0:
+            back = model.weights[i][:, :-1].T @ delta
+            delta = back * acts[i] * (1.0 - acts[i])
+    return grads, error
+
+
+def oracle_train(model, data, config):
+    rng = np.random.Generator(np.random.PCG64(config.seed))
+    velocity = [np.zeros_like(w) for w in model.weights]
+    history = []
+    stale = 0
+    for _ in range(config.max_epochs):
+        epoch_error = 0.0
+        for idx in rng.permutation(len(data)):
+            grads, error = oracle_backprop(model, data[idx].features, data[idx].label)
+            epoch_error += error
+            for i, grad in enumerate(grads):
+                velocity[i] = config.momentum * velocity[i] - config.learning_rate * grad
+                model.weights[i] += velocity[i]
+        if history and history[-1] - epoch_error < config.stop_tolerance:
+            stale += 1
+        else:
+            stale = 0
+        history.append(epoch_error)
+        if stale >= config.patience:
+            break
+    return model, history
+
+
+def test_trained_model_bytes_match_the_oracle(tmp_path):
+    # Compared with an oracle run rather than a pinned digest: the BLAS
+    # kernels behind the matrix products may differ between CPUs.
+    data = make_toy_dataset(3, 0.05, 11).samples
+    config = TrainingConfig(hidden_size=7, max_epochs=25, seed=3)
+    model, history = train(init_model(config), data, config)
+    want, want_history = oracle_train(init_model(config), data, config)
+    save_model(tmp_path / "got.mlp", model)
+    save_model(tmp_path / "want.mlp", want)
+    assert history == want_history
+    assert (tmp_path / "got.mlp").read_bytes() == (tmp_path / "want.mlp").read_bytes()

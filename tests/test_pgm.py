@@ -1,5 +1,10 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from digitrec.imgproc import normalize_image
 from digitrec.pgm import PgmError, read_pgm, write_pgm
@@ -92,3 +97,136 @@ def test_truncated_header(tmp_path):
     path.write_text("P5\n4\n")
     with pytest.raises(PgmError, match="header"):
         read_pgm(path)
+
+
+def test_p2_sample_past_int64_is_a_pgm_error(tmp_path):
+    path = tmp_path / "img.pgm"
+    path.write_text("P2\n2 1\n255\n0 99999999999999999999\n")
+    with pytest.raises(PgmError, match="maxval"):
+        read_pgm(path)
+
+
+# ---------------------------------------------------------------------------
+# Properties, against the earlier token-walking reader as an oracle
+
+def _oracle_tokens(data: bytes):
+    i = 0
+    n = len(data)
+    while i < n:
+        ch = data[i:i + 1]
+        if ch.isspace():
+            i += 1
+        elif ch == b"#":
+            while i < n and data[i:i + 1] not in (b"\n", b"\r"):
+                i += 1
+        else:
+            j = i
+            while j < n and not data[j:j + 1].isspace() and data[j:j + 1] != b"#":
+                j += 1
+            yield data[i:j], j
+            i = j
+
+
+def oracle_read_pgm(path) -> np.ndarray:
+    """The reader as it was before the header became one regex. It
+    raises OverflowError, not PgmError, on a P2 sample past int64."""
+    data = Path(path).read_bytes()
+    header = _oracle_tokens(data)
+
+    def next_token():
+        try:
+            return next(header)
+        except StopIteration:
+            raise PgmError("truncated header") from None
+
+    magic, _ = next_token()
+    if magic not in (b"P2", b"P5"):
+        raise PgmError("magic")
+    fields = []
+    end = 0
+    for _ in range(3):
+        tok, end = next_token()
+        if not tok.isdigit():
+            raise PgmError("header field")
+        fields.append(int(tok))
+    width, height, maxval = fields
+    if width < 1 or height < 1 or not 0 < maxval <= 255:
+        raise PgmError("dimensions or maxval")
+    count = width * height
+    if magic == b"P5":
+        if not data[end:end + 1].isspace():
+            raise PgmError("whitespace")
+        raster = data[end + 1:]
+        if len(raster) < count or raster[count:].strip():
+            raise PgmError("raster size")
+        img = np.frombuffer(raster[:count], dtype=np.uint8)
+    else:
+        samples = re.sub(rb"#[^\r\n]*", b" ", data[end:]).split()
+        if not all(tok.isdigit() for tok in samples) or len(samples) != count:
+            raise PgmError("samples")
+        img = np.array([int(tok) for tok in samples], dtype=np.int64)
+    if img.max(initial=0) > maxval:
+        raise PgmError("maxval")
+    if maxval < 255:
+        img = (img.astype(np.int64) * 255 + maxval // 2) // maxval
+    return img.astype(np.uint8).reshape(height, width)
+
+
+_SEPARATORS = st.lists(st.sampled_from(
+    [b" ", b"\n", b"\t", b"\r\n", b"\r", b"\x0b\x0c", b"# c\n", b"#\r", b"##x\n", b"#"]),
+    min_size=1, max_size=3).map(b"".join)
+_ODD_TOKENS = st.sampled_from([b"99999999999999999999", b"1a", b"-1", b"0", b"256", b"P2", b""])
+
+
+@st.composite
+def pgm_files(draw):
+    """Mostly well-formed P2/P5 files: separators of every kind, bad
+    magics, and now and then an odd token in place of a number."""
+    def odd():
+        return draw(st.integers(0, 15)) == 15
+
+    def token(value):
+        return draw(_ODD_TOKENS) if odd() else str(value).encode()
+
+    magic = draw(st.sampled_from([b"P2", b"P5", b"P6", b"P2x", b"p5"])) if odd() else (
+        draw(st.sampled_from([b"P2", b"P5"])))
+    width, height = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    maxval = draw(st.sampled_from([255, 1, 9, 15]))
+    parts = [draw(_SEPARATORS) if odd() else b"", magic]
+    for value in (width, height, maxval):
+        parts += [draw(_SEPARATORS), token(value)]
+    count = width * height + (draw(st.sampled_from([-1, 1])) if odd() else 0)
+    samples = draw(st.lists(st.integers(0, maxval), min_size=count, max_size=count))
+    if magic == b"P5":
+        parts += [draw(st.sampled_from([b"\n", b" ", b"\r", b"", b"#"])), bytes(samples)]
+    else:
+        for value in samples:
+            parts += [draw(_SEPARATORS), token(value)]
+    return b"".join(parts + [draw(_SEPARATORS) if odd() else b"\n"])
+
+
+@settings(deadline=None, max_examples=500)
+@given(pgm_files())
+@example(b"P2\n2 1\n255\n0 99999999999999999999\n")
+def test_read_pgm_agrees_with_oracle(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("pgm") / "img.pgm"
+    path.write_bytes(data)
+    try:
+        want = oracle_read_pgm(path)
+    except (PgmError, OverflowError):
+        with pytest.raises(PgmError):
+            read_pgm(path)
+    else:
+        got = read_pgm(path)
+        assert got.dtype == np.uint8 and got.flags.writeable
+        np.testing.assert_array_equal(got, want)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 40), st.integers(1, 40), st.booleans(), st.data())
+def test_write_read_roundtrip(tmp_path_factory, height, width, binary, data):
+    raw = data.draw(st.binary(min_size=height * width, max_size=height * width))
+    img = np.frombuffer(raw, dtype=np.uint8).reshape(height, width)
+    path = tmp_path_factory.mktemp("pgm") / "img.pgm"
+    write_pgm(path, img, binary=binary)
+    np.testing.assert_array_equal(read_pgm(path), img)
