@@ -45,13 +45,12 @@ lines and the sum is divided by 1024.
 All three families are computed from tables fixed at import and
 array operations: shadows OR together per-pixel one-hot cell masks,
 and centroids are bincounts over the octant map. Longest runs come
-from run-length maps. Every scan line of every direction is one row of
-a -1-padded table of flat pixel indices, so gathering the raster
-through it gives 0/1 lines. Forward and backward ink counts (a
-cumulative sum less its value at the last blank cell) give each ink
-cell the length f + b - 1 of the run holding it. A line's value for a
-region is then the maximum of that map over the line's cells inside
-the region, and lines that miss the region contribute 0.
+from run-length maps. Each scan line of each direction is a row of flat
+pixel indices ending in -1, so gathering the raster gives 0/1 lines that
+end blank. Laid end to end, their run starts and stops are where ink
+begins and ends, and each ink cell gets its run's length stop - start.
+A line's value for a region is the maximum of that map over the line's
+cells inside the region, and lines that miss the region contribute 0.
 """
 
 from __future__ import annotations
@@ -131,12 +130,13 @@ def octant_of(row: int, col: int) -> int:
 def _scan_lines(h: int, w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cells of every scan line of an h x w raster, per direction.
 
-    Returns (row, col, flat) arrays of shape (4, h + w - 1, max(h, w)):
+    Returns (row, col, flat) arrays of shape (4, h + w - 1, max(h, w) + 1):
     direction (DIRECTIONS order), line, position along the line. Lines
     are in row, column, row - col and row + col order; diagonal lines
-    are walked by row. Cells off the raster have flat index -1.
+    are walked by row. Cells off the raster, the last of every line
+    among them, have flat index -1.
     """
-    line, pos = np.ogrid[:h + w - 1, :max(h, w)]
+    line, pos = np.ogrid[:h + w - 1, :max(h, w) + 1]
     row = np.stack(np.broadcast_arrays(line, pos, pos, pos))
     col = np.stack(np.broadcast_arrays(pos, line, pos + w - 1 - line, line - pos))
     on = (row < h) & (col >= 0) & (col < w)
@@ -144,20 +144,14 @@ def _scan_lines(h: int, w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _run_lengths(ink: np.ndarray, flat: np.ndarray) -> np.ndarray:
-    """Length of the ink run holding each scan-line cell, 0 off ink.
-
-    A run's length at a cell is the ink counted up to it from either
-    end of the run, f + b - 1.
-    """
+    """Length of the ink run holding each scan-line cell, 0 off ink."""
     cells = np.append(ink.ravel(), False)[flat]
-    # Smallest signed type holding f + b <= length + 1 (int8 at 32x32).
-    dtype = np.min_scalar_type(-2 * flat.shape[-1])
-
-    def upto(x):
-        n = np.cumsum(x, axis=-1, dtype=dtype)
-        return n - np.maximum.accumulate(np.where(x, 0, n), axis=-1)
-
-    return np.where(cells, upto(cells) + upto(cells[..., ::-1])[..., ::-1] - 1, 0)
+    # Every line ends blank, so laid end to end no run crosses a line end.
+    edges = np.diff(cells.view(np.int8).ravel(), prepend=0)
+    length = np.flatnonzero(edges == -1) - np.flatnonzero(edges == 1)
+    runs = np.zeros(cells.shape, dtype=flat.dtype)
+    runs[cells] = np.repeat(length, length)
+    return runs
 
 
 def _build_region_tables() -> tuple[np.ndarray, np.ndarray]:
@@ -281,4 +275,6 @@ def read_features_csv(path: str | Path) -> tuple[list[int], list[np.ndarray]]:
                 raise ValueError(f"{path}:{lineno}: label {label} outside 0..9")
             labels.append(label)
             vectors.append(np.array([float(v) for v in rec[1:]]))
+            if not np.isfinite(vectors[-1]).all():
+                raise ValueError(f"{path}:{lineno}: non-finite feature value")
     return labels, vectors

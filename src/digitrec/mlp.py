@@ -122,7 +122,7 @@ def sigmoid(x):
     """Logistic function, stable for large |x|."""
     x = np.asarray(x, dtype=np.float64)
     t = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
+    return np.where(x >= 0, 1.0, t) / (1.0 + t)
 
 
 def random_model(layer_sizes: list[int], seed: int) -> MlpModel:

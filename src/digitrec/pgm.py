@@ -90,8 +90,11 @@ def write_pgm(path: str | Path, img: np.ndarray, binary: bool = True) -> None:
     if binary:
         data = f"P5\n{width} {height}\n255\n".encode() + img.tobytes()
     else:
+        # Plain PGM lines may not exceed 70 characters: 17 samples of
+        # at most 3 digits each, with separators, take 67.
         lines = [f"P2\n{width} {height}\n255"]
-        lines.extend(" ".join(str(int(v)) for v in row) for row in img)
+        lines.extend(" ".join(map(str, row[i:i + 17]))
+                     for row in img.tolist() for i in range(0, width, 17))
         data = ("\n".join(lines) + "\n").encode()
     with atomic_open(path, "wb") as fh:
         fh.write(data)

@@ -184,6 +184,19 @@ def test_train_rejects_non_finite_learning_rate(feature_csv, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_train_rejects_a_non_finite_feature(feature_csv, tmp_path, capsys):
+    lines = feature_csv.read_text().splitlines()
+    row = lines[1].split(",")
+    row[5] = "nan"
+    lines[1] = ",".join(row)
+    data = tmp_path / "nan.csv"
+    data.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "m.mlp"
+    assert main(["train", str(data), "--model-out", str(out)]) == 2
+    assert f"{data}:2: non-finite feature value" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # predict
 

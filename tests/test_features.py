@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -404,6 +404,8 @@ def rasters_with_window(draw):
 @given(rasters)
 def test_shadow_equals_oracle(img):
     np.testing.assert_array_equal(shadow_features(img), oracle_shadow(img))
+    vec = extract_features(img)
+    assert ((0 <= vec) & (vec <= 1)).all()
 
 
 @settings(deadline=None)
@@ -418,8 +420,13 @@ def test_longest_run_equals_oracle(img):
     np.testing.assert_array_equal(longest_run_features(img), oracle_longest_run(img))
 
 
+# Lines longer than 255 cells, past the range of 8-bit run lengths.
 @settings(deadline=None, max_examples=300)
 @given(rasters_with_window())
+@example((np.ones((1, 300), np.uint8), (0, 0), (0, 299), "row"))
+@example((np.ones((1, 300), np.uint8), (0, 0), (120, 130), "diag_anti"))
+@example((np.ones((300, 1), np.uint8), (0, 299), (0, 0), "column"))
+@example((np.ones((300, 1), np.uint8), (7, 260), (0, 0), "diag_main"))
 def test_runs_by_line_equals_oracle(case):
     img, rows, cols, direction = case
     assert (longest_runs_by_line(img, rows, cols, direction)
@@ -484,6 +491,15 @@ def test_feature_csv_rejects_malformed_input(tmp_path):
     path.write_text("\n".join(rows) + "\n")
     with pytest.raises(ValueError, match="label"):
         read_features_csv(path)
+    for value in ["nan", "inf", "-inf"]:
+        rows = [",".join(CSV_HEADER), "3," + ",".join(["0.0"] * 75 + [value])]
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(ValueError, match=f"{path}:2: non-finite"):
+            read_features_csv(path)
+    # Finite values outside [0, 1] are still accepted.
+    rows = [",".join(CSV_HEADER), "3," + ",".join(["-2.5"] * 75 + ["7.0"])]
+    path.write_text("\n".join(rows) + "\n")
+    assert read_features_csv(path)[1][0][-1] == 7.0
 
 
 def test_write_features_csv_keeps_the_old_file_on_failure(tmp_path):

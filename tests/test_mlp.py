@@ -3,11 +3,14 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from digitrec.evaluation import make_toy_dataset
 from digitrec.mlp import (INPUT_SIZE, OUTPUT_SIZE, BadMagicError,
                           DimensionMismatchError, EmptyDatasetError,
-                          LabeledSample, MlpModel, ShapeMismatchError,
+                          LabeledSample, MlpModel, ModelFormatError,
+                          ShapeMismatchError,
                           TrainingConfig, TruncatedStreamError,
                           VersionMismatchError, forward, gradient, init_model,
                           load_model, predict, random_model, sample_error,
@@ -342,6 +345,37 @@ def test_load_rejects_malformed_streams(tmp_path):
         path.write_bytes(blob)
         with pytest.raises(exc):
             load_model(path)
+
+
+GOOD_MODEL = stream([2, 3, 4], random_model([2, 3, 4], seed=5).weights)
+
+
+@st.composite
+def mutated_model_files(draw):
+    """GOOD_MODEL with bytes flipped, cut off the end, or appended."""
+    kind = draw(st.sampled_from(["flip", "truncate", "extend"]))
+    if kind == "truncate":
+        return GOOD_MODEL[:draw(st.integers(0, len(GOOD_MODEL) - 1))]
+    if kind == "extend":
+        return GOOD_MODEL + draw(st.binary(min_size=1, max_size=64))
+    blob = bytearray(GOOD_MODEL)
+    flips = st.tuples(st.integers(0, len(blob) - 1), st.integers(1, 255))
+    for i, mask in draw(st.lists(flips, min_size=1, max_size=4)):
+        blob[i] ^= mask
+    return bytes(blob)
+
+
+@settings(deadline=None, max_examples=300)
+@given(mutated_model_files())
+def test_load_model_rejects_or_keeps_every_byte(tmp_path_factory, blob):
+    path = tmp_path_factory.mktemp("model") / "m.bin"
+    path.write_bytes(blob)
+    try:
+        model = load_model(path)
+    except ModelFormatError:
+        return
+    save_model(path, model)
+    assert path.read_bytes() == blob
 
 
 # ---------------------------------------------------------------------------

@@ -230,3 +230,5 @@ def test_write_read_roundtrip(tmp_path_factory, height, width, binary, data):
     path = tmp_path_factory.mktemp("pgm") / "img.pgm"
     write_pgm(path, img, binary=binary)
     np.testing.assert_array_equal(read_pgm(path), img)
+    if not binary:  # netpbm caps plain PGM lines at 70 characters
+        assert max(map(len, path.read_bytes().splitlines())) <= 70
