@@ -258,23 +258,35 @@ def write_features_csv(path: str | Path, labels, vectors) -> None:
             writer.writerow([int(label)] + [repr(float(v)) for v in vec])
 
 
+def _csv_records(fh, path):
+    """csv.reader over fh, with a csv.Error raised as ValueError("path:line: ...")."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+
+
 def read_features_csv(path: str | Path) -> tuple[list[int], list[np.ndarray]]:
-    """Read a feature CSV back into (labels, vectors)."""
+    """Read a feature CSV back into (labels, vectors); any bad field is a ValueError."""
     labels: list[int] = []
     vectors: list[np.ndarray] = []
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        records = _csv_records(fh, path)
+        header = next(records, None)
         if header != CSV_HEADER:
             raise ValueError(f"{path}: bad or missing feature CSV header")
-        for lineno, rec in enumerate(reader, start=2):
+        for lineno, rec in enumerate(records, start=2):
             if len(rec) != FEATURE_COUNT + 1:
                 raise ValueError(f"{path}:{lineno}: expected {FEATURE_COUNT + 1} columns")
-            label = int(rec[0])
+            try:
+                label, vector = int(rec[0]), np.array([float(v) for v in rec[1:]])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
             if not 0 <= label <= 9:
                 raise ValueError(f"{path}:{lineno}: label {label} outside 0..9")
-            labels.append(label)
-            vectors.append(np.array([float(v) for v in rec[1:]]))
-            if not np.isfinite(vectors[-1]).all():
+            if not np.isfinite(vector).all():
                 raise ValueError(f"{path}:{lineno}: non-finite feature value")
+            labels.append(label)
+            vectors.append(vector)
     return labels, vectors

@@ -141,27 +141,27 @@ def init_model(config: TrainingConfig) -> MlpModel:
     return random_model([INPUT_SIZE, config.hidden_size, OUTPUT_SIZE], config.seed)
 
 
-def _check_input(model: MlpModel, x: np.ndarray) -> np.ndarray:
+def _biased_input(model: MlpModel, x: np.ndarray) -> np.ndarray:
+    """x as float64 with the bias input 1 appended, once its shape is checked."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (model.input_size,):
         raise DimensionMismatchError(
             f"feature vector of shape {x.shape} does not fit input size "
             f"{model.input_size}")
-    return x
+    return np.concatenate([x, [1.0]])
 
 
 def _layer_inputs(model: MlpModel, x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """Each layer's input with the bias input 1 appended, and the output."""
-    inputs = []
-    for w in model.weights:
-        inputs.append(np.concatenate([x, [1.0]]))
-        x = sigmoid(w @ inputs[-1])
-    return inputs, x
+    """Each layer's input ending in the bias input 1 (x already does), and the output."""
+    inputs = [x]
+    for w in model.weights[:-1]:
+        inputs.append(np.concatenate([sigmoid(w @ inputs[-1]), [1.0]]))
+    return inputs, sigmoid(model.weights[-1] @ inputs[-1])
 
 
 def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
     """Output activations for one feature vector."""
-    return _layer_inputs(model, _check_input(model, x))[1]
+    return _layer_inputs(model, _biased_input(model, x))[1]
 
 
 def predict(model: MlpModel, x: np.ndarray) -> int:
@@ -193,8 +193,7 @@ def _backprop(model: MlpModel, x: np.ndarray, label: int) -> tuple[list[np.ndarr
 
 def gradient(model: MlpModel, sample: LabeledSample) -> list[np.ndarray]:
     """dE/dw per weight matrix for E = 0.5 * ||target - output||^2."""
-    x = _check_input(model, sample.features)
-    return _backprop(model, x, sample.label)[0]
+    return _backprop(model, _biased_input(model, sample.features), sample.label)[0]
 
 
 def sample_error(model: MlpModel, sample: LabeledSample) -> float:
@@ -216,30 +215,31 @@ def train(model: MlpModel, data: list[LabeledSample],
     summed per-sample error of each epoch, measured as each sample is
     visited. Training stops after max_epochs, or earlier once the
     epoch error improves by less than stop_tolerance for patience
-    epochs in a row.
+    epochs in a row. Samples are validated and stacked once per call.
     """
     if not data:
         raise EmptyDatasetError("cannot train on an empty dataset")
-    for sample in data:
-        _check_input(model, sample.features)
-        if not 0 <= sample.label < model.output_size:
+    inputs = np.array([_biased_input(model, s.features) for s in data])
+    labels = [s.label for s in data]
+    for label in labels:
+        if not 0 <= label < model.output_size:
             raise DimensionMismatchError(
-                f"label {sample.label} outside 0..{model.output_size - 1}")
+                f"label {label} outside 0..{model.output_size - 1}")
 
     rng = np.random.Generator(np.random.PCG64(config.seed))
     velocity = [np.zeros_like(w) for w in model.weights]
     history: list[float] = []
     stale = 0
     for _ in range(config.max_epochs):
-        order = rng.permutation(len(data))
         epoch_error = 0.0
-        for idx in order:
-            sample = data[idx]
-            grads, error = _backprop(model, sample.features, sample.label)
+        for idx in rng.permutation(len(data)):
+            grads, error = _backprop(model, inputs[idx], labels[idx])
             epoch_error += error
-            for i, grad in enumerate(grads):
-                velocity[i] = config.momentum * velocity[i] - config.learning_rate * grad
-                model.weights[i] += velocity[i]
+            for w, v, g in zip(model.weights, velocity, grads):
+                v *= config.momentum
+                g *= config.learning_rate
+                v -= g
+                w += v
         if history and history[-1] - epoch_error < config.stop_tolerance:
             stale += 1
         else:

@@ -1,5 +1,11 @@
+import contextlib
+import io
+import re
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from digitrec.cli import main, parse_sizes, parse_threshold, UsageError
 from digitrec.evaluation import toy_glyph
@@ -195,6 +201,68 @@ def test_train_rejects_a_non_finite_feature(feature_csv, tmp_path, capsys):
     assert main(["train", str(data), "--model-out", str(out)]) == 2
     assert f"{data}:2: non-finite feature value" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_train_rejects_an_oversized_field(feature_csv, tmp_path, capsys):
+    # One field past the csv module's 131,072-character limit is a data
+    # error with its file and line, not an internal error.
+    lines = feature_csv.read_text().splitlines()
+    lines[2] += "9" * 200_000
+    data = tmp_path / "big.csv"
+    data.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "m.mlp"
+    assert main(["train", str(data), "--model-out", str(out)]) == 2
+    assert f"digitrec: {data}:3: field larger than field limit" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_CSV_TOKENS = (st.sampled_from(["", "x", "nan", "-inf", "1e999", "-1", "10", "3", "0.5",
+                                '"', ",", "\n", "\r", " ", "\x00", "\u00e9", "9" * 5000])
+               | st.text(st.sampled_from('0123456789.,-+eE"x \n'), max_size=6))
+_CSV_EDITS = st.lists(st.tuples(st.sampled_from(["flip", "cut", "extend", "insert"]),
+                                st.integers(0, 10**6), _CSV_TOKENS),
+                      min_size=1, max_size=6)
+
+
+def mutate_csv(text, edits):
+    """text split into fields and separators, with each edit applied in turn."""
+    tokens = re.split(r"([,\n])", text)
+    for kind, pos, token in edits:
+        if kind == "flip" and tokens:
+            tokens[pos % len(tokens)] = token
+        elif kind == "cut":
+            del tokens[pos % (len(tokens) + 1):]
+        elif kind == "extend":
+            tokens.append(token)
+        else:
+            tokens.insert(pos % (len(tokens) + 1), token)
+    return "".join(tokens)
+
+
+@settings(deadline=None, max_examples=150)
+@given(_CSV_EDITS)
+@example([("flip", 200, "9" * 200_000)])
+def test_train_on_a_mutated_csv_exits_cleanly(feature_csv, tmp_path_factory, edits):
+    # Every damaged feature CSV either trains or is one data-error line.
+    # (Token 200 of the @example is a field of the first data row.)
+    work = tmp_path_factory.mktemp("mutated")
+    data = work / "features.csv"
+    data.write_text(mutate_csv(feature_csv.read_text(), edits), encoding="utf-8")
+    out = work / "m.mlp"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["train", str(data), "--model-out", str(out),
+                     "--epochs", "1", "--hidden", "3"])
+    lines = err.getvalue().splitlines()
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert len(lines) == 1 and lines[0].startswith("digitrec: ")
+        assert not out.exists()
+    else:
+        assert code == 0, lines
+        assert not any(line.startswith("digitrec:") for line in lines)
+        assert out.exists()
+    assert not list(work.glob(".*.tmp"))
 
 
 # ---------------------------------------------------------------------------

@@ -496,6 +496,12 @@ def test_feature_csv_rejects_malformed_input(tmp_path):
         path.write_text("\n".join(rows) + "\n")
         with pytest.raises(ValueError, match=f"{path}:2: non-finite"):
             read_features_csv(path)
+    # A non-numeric value or label names its file and line too.
+    for row, message in [("3," + ",".join(["0.0"] * 75 + ["x"]), "could not convert"),
+                         ("x," + ",".join(["0.0"] * 76), "invalid literal")]:
+        path.write_text(",".join(CSV_HEADER) + "\n" + row + "\n")
+        with pytest.raises(ValueError, match=f"{path}:2: {message}"):
+            read_features_csv(path)
     # Finite values outside [0, 1] are still accepted.
     rows = [",".join(CSV_HEADER), "3," + ",".join(["-2.5"] * 75 + ["7.0"])]
     path.write_text("\n".join(rows) + "\n")

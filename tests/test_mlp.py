@@ -297,6 +297,13 @@ def test_train_rejects_bad_data():
     narrow = random_model([4, 3, 3], seed=1)
     with pytest.raises(DimensionMismatchError):
         train(narrow, [LabeledSample(np.zeros(4), 5)], small_config())
+    # A bad sample after good ones is caught before the inputs are stacked.
+    with pytest.raises(DimensionMismatchError):
+        train(model, [LabeledSample(np.zeros(4), 1), LabeledSample(np.zeros(5), 2)],
+              small_config())
+    with pytest.raises(DimensionMismatchError):
+        train(narrow, [LabeledSample(np.zeros(4), 1), LabeledSample(np.zeros(4), 2),
+                       LabeledSample(np.zeros(4), 7)], small_config())
 
 
 # ---------------------------------------------------------------------------
@@ -440,3 +447,20 @@ def test_trained_model_bytes_match_the_oracle(tmp_path):
     save_model(tmp_path / "want.mlp", want)
     assert history == want_history
     assert (tmp_path / "got.mlp").read_bytes() == (tmp_path / "want.mlp").read_bytes()
+
+
+def test_two_hidden_layer_bytes_match_the_oracle(tmp_path):
+    # The in-place momentum update runs over every layer, so train a net
+    # with two hidden layers at the default momentum as well.
+    data = make_toy_dataset(3, 0.05, 11).samples
+    before = [s.features.copy() for s in data]
+    config = TrainingConfig(max_epochs=15, seed=3)
+    model, history = train(random_model([76, 7, 5, 10], seed=3), data, config)
+    want, want_history = oracle_train(random_model([76, 7, 5, 10], seed=3), data, config)
+    save_model(tmp_path / "got.mlp", model)
+    save_model(tmp_path / "want.mlp", want)
+    assert history == want_history
+    assert (tmp_path / "got.mlp").read_bytes() == (tmp_path / "want.mlp").read_bytes()
+    # train reads the samples and leaves their features as they were.
+    for sample, features in zip(data, before):
+        assert sample.features.tobytes() == features.tobytes()
