@@ -127,11 +127,11 @@ def _load_dataset(path_text: str, threshold: int | None,
     if not path.exists():
         raise DataError(f"{path}: no such file or directory")
     try:
-        labels, vectors = features.read_features_csv(path)
+        lines, labels, vectors = features._read_feature_rows(path)
     except ValueError as exc:
         raise DataError(str(exc)) from exc
     samples = [mlp.LabeledSample(v, l) for l, v in zip(labels, vectors)]
-    provenance = [f"{path}:{i + 2}" for i in range(len(labels))]
+    provenance = [f"{path}:{line}" for line in lines]
     if not samples:
         raise DataError(f"{path}: no samples")
     return evaluation.Dataset(samples, provenance)
@@ -167,7 +167,8 @@ def cmd_train(args) -> int:
     model, history = mlp.train(model, data.samples, config)
     mlp.save_model(args.model_out, model)
     outs = [(mlp.forward(model, s.features), s.label) for s in data.samples]
-    sse = sum(mlp._error(out, label)[1] for out, label in outs)
+    targets = np.eye(mlp.OUTPUT_SIZE)
+    sse = sum(float(mlp._error(out, targets[label])[1]) for out, label in outs)
     accuracy = 100.0 * sum(int(np.argmax(out)) == label for out, label in outs) / len(data)
     print(f"epochs {len(history)}", file=sys.stderr)
     print(f"sse {sse:.6f}")

@@ -17,8 +17,8 @@ import numpy as np
 from ._atomic import atomic_open
 from .features import extract_features
 from .imgproc import GRID
-from .mlp import (OUTPUT_SIZE, LabeledSample, TrainingConfig, init_model,
-                  predict, train)
+from .mlp import (OUTPUT_SIZE, LabeledSample, TrainingConfig, _train_stacked,
+                  init_model, predict)
 
 
 class TooFewSamplesError(ValueError):
@@ -77,13 +77,6 @@ class EvaluationReport:
 Trainer = Callable[[list[LabeledSample], TrainingConfig], Callable[[LabeledSample], int]]
 
 
-def _backprop_trainer(samples: list[LabeledSample],
-                      config: TrainingConfig) -> Callable[[LabeledSample], int]:
-    model = init_model(config)
-    train(model, samples, config)
-    return lambda s: predict(model, s.features)
-
-
 def make_folds(data: Dataset, k: int, seed: int) -> FoldPlan:
     """Stratified fold assignment.
 
@@ -123,20 +116,28 @@ def confusion_matrix(truths, preds) -> np.ndarray:
 
 
 def cross_validate(data: Dataset, config: TrainingConfig, k: int = 3,
-                   trainer: Trainer = _backprop_trainer) -> EvaluationReport:
+                   trainer: Trainer | None = None) -> EvaluationReport:
     """k-fold CV with per-fold reseeding.
 
     Fold i trains on the other folds with seed config.seed + i, so
-    every fold's run is independently reproducible. The confusion
-    matrix pools the test predictions of all folds.
+    every fold's run is independently reproducible. Without a trainer
+    the k backprop runs are trained together, each giving the model
+    train would give it alone; an injected trainer is called once per
+    fold. The confusion matrix pools the test predictions of all folds.
     """
     plan = make_folds(data, k, config.seed)
+    seeds = [config.seed + fold for fold in range(k)]
+    train_sets = [[data.samples[i] for i in plan.train_indices(fold)] for fold in range(k)]
+    if trainer is None:
+        models = [init_model(replace(config, seed=seed)) for seed in seeds]
+        _train_stacked(models, train_sets, config, seeds)
+        classifiers = [lambda s, model=model: predict(model, s.features) for model in models]
+    else:
+        classifiers = [trainer(samples, replace(config, seed=seed))
+                       for samples, seed in zip(train_sets, seeds)]
     per_fold = []
     confusion = np.zeros((OUTPUT_SIZE, OUTPUT_SIZE), dtype=np.int64)
-    for fold in range(k):
-        fold_config = replace(config, seed=config.seed + fold)
-        train_samples = [data.samples[i] for i in plan.train_indices(fold)]
-        classify = trainer(train_samples, fold_config)
+    for fold, classify in enumerate(classifiers):
         test_samples = [data.samples[i] for i in plan.test_indices(fold)]
         fold_confusion = confusion_matrix([s.label for s in test_samples],
                                           [classify(s) for s in test_samples])

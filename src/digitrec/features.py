@@ -259,24 +259,32 @@ def write_features_csv(path: str | Path, labels, vectors) -> None:
 
 
 def _csv_records(fh, path):
-    """csv.reader over fh, with a csv.Error raised as ValueError("path:line: ...")."""
+    """(first line, record) pairs from csv.reader over fh, with a csv.Error
+    raised as ValueError("path:line: ...").
+    """
     reader = csv.reader(fh)
+    start = 1
     try:
-        yield from reader
+        for rec in reader:
+            yield start, rec
+            start = reader.line_num + 1
     except csv.Error as exc:
         raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
 
 
 def read_features_csv(path: str | Path) -> tuple[list[int], list[np.ndarray]]:
     """Read a feature CSV back into (labels, vectors); any bad field is a ValueError."""
-    labels: list[int] = []
-    vectors: list[np.ndarray] = []
+    return _read_feature_rows(path)[1:]
+
+
+def _read_feature_rows(path: str | Path) -> tuple[list[int], list[int], list[np.ndarray]]:
+    """(first lines, labels, vectors) of a feature CSV's records; see read_features_csv."""
+    rows = []
     with open(path, newline="") as fh:
         records = _csv_records(fh, path)
-        header = next(records, None)
-        if header != CSV_HEADER:
+        if next(records, (1, None))[1] != CSV_HEADER:
             raise ValueError(f"{path}: bad or missing feature CSV header")
-        for lineno, rec in enumerate(records, start=2):
+        for lineno, rec in records:
             if len(rec) != FEATURE_COUNT + 1:
                 raise ValueError(f"{path}:{lineno}: expected {FEATURE_COUNT + 1} columns")
             try:
@@ -287,6 +295,8 @@ def read_features_csv(path: str | Path) -> tuple[list[int], list[np.ndarray]]:
                 raise ValueError(f"{path}:{lineno}: label {label} outside 0..9")
             if not np.isfinite(vector).all():
                 raise ValueError(f"{path}:{lineno}: non-finite feature value")
-            labels.append(label)
-            vectors.append(vector)
-    return labels, vectors
+            # Larger values would overflow the sums of a training step.
+            if (np.abs(vector) > 1e6).any():
+                raise ValueError(f"{path}:{lineno}: feature value outside [-1e6, 1e6]")
+            rows.append((lineno, label, vector))
+    return [r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows]

@@ -151,17 +151,22 @@ def _biased_input(model: MlpModel, x: np.ndarray) -> np.ndarray:
     return np.concatenate([x, [1.0]])
 
 
-def _layer_inputs(model: MlpModel, x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """Each layer's input ending in the bias input 1 (x already does), and the output."""
+def _layer_inputs(weights: list[np.ndarray],
+                  x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """Each layer's input ending in the bias input 1 (x already does), and the output.
+
+    Here and in _error and _backprop, every array may lead with a run axis.
+    """
     inputs = [x]
-    for w in model.weights[:-1]:
-        inputs.append(np.concatenate([sigmoid(w @ inputs[-1]), [1.0]]))
-    return inputs, sigmoid(model.weights[-1] @ inputs[-1])
+    for w in weights[:-1]:
+        act = sigmoid(np.matmul(w, inputs[-1][..., None])[..., 0])
+        inputs.append(np.concatenate([act, np.ones_like(act[..., :1])], axis=-1))
+    return inputs, sigmoid(np.matmul(weights[-1], inputs[-1][..., None])[..., 0])
 
 
 def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
     """Output activations for one feature vector."""
-    return _layer_inputs(model, _biased_input(model, x))[1]
+    return _layer_inputs(model.weights, _biased_input(model, x))[1]
 
 
 def predict(model: MlpModel, x: np.ndarray) -> int:
@@ -169,36 +174,39 @@ def predict(model: MlpModel, x: np.ndarray) -> int:
     return int(np.argmax(forward(model, x)))
 
 
-def _error(out: np.ndarray, label: int) -> tuple[np.ndarray, float]:
-    """out - target for the one-of-n target of label, and E = 0.5 * ||out - target||^2."""
-    diff = out.copy()
-    diff[label] -= 1.0
-    return diff, 0.5 * float(diff @ diff)
+def _error(out: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """out - target, and E = 0.5 * ||out - target||^2 per run of the leading axis."""
+    diff = out - target
+    return diff, 0.5 * np.matmul(diff[..., None, :], diff[..., :, None])[..., 0, 0]
 
 
-def _backprop(model: MlpModel, x: np.ndarray, label: int) -> tuple[list[np.ndarray], float]:
+def _backprop(weights: list[np.ndarray], x: np.ndarray,
+              target: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     """Gradients of E = 0.5 * ||target - output||^2, plus E itself."""
-    inputs, out = _layer_inputs(model, x)
-    diff, error = _error(out, label)
-    grads: list[np.ndarray] = [np.empty(0)] * len(model.weights)
+    inputs, out = _layer_inputs(weights, x)
+    diff, error = _error(out, target)
+    grads: list[np.ndarray] = [np.empty(0)] * len(weights)
     # Output delta, then walk the layers backward.
     delta = diff * out * (1.0 - out)
-    for i in range(len(model.weights) - 1, -1, -1):
-        grads[i] = np.outer(delta, inputs[i])
+    for i in range(len(weights) - 1, -1, -1):
+        grads[i] = delta[..., :, None] * inputs[i][..., None, :]
         if i > 0:
-            act = inputs[i][:-1]
-            delta = (model.weights[i][:, :-1].T @ delta) * act * (1.0 - act)
+            act = inputs[i][..., :-1]
+            back = np.matmul(np.swapaxes(weights[i][..., :-1], -1, -2), delta[..., None])
+            delta = back[..., 0] * act * (1.0 - act)
     return grads, error
 
 
 def gradient(model: MlpModel, sample: LabeledSample) -> list[np.ndarray]:
     """dE/dw per weight matrix for E = 0.5 * ||target - output||^2."""
-    return _backprop(model, _biased_input(model, sample.features), sample.label)[0]
+    x = _biased_input(model, sample.features)
+    return _backprop(model.weights, x, np.eye(model.output_size)[sample.label])[0]
 
 
 def sample_error(model: MlpModel, sample: LabeledSample) -> float:
     """0.5 * squared error of one sample."""
-    return _error(forward(model, sample.features), sample.label)[1]
+    target = np.eye(model.output_size)[sample.label]
+    return float(_error(forward(model, sample.features), target)[1])
 
 
 def train(model: MlpModel, data: list[LabeledSample],
@@ -217,37 +225,71 @@ def train(model: MlpModel, data: list[LabeledSample],
     epoch error improves by less than stop_tolerance for patience
     epochs in a row. Samples are validated and stacked once per call.
     """
-    if not data:
-        raise EmptyDatasetError("cannot train on an empty dataset")
-    inputs = np.array([_biased_input(model, s.features) for s in data])
-    labels = [s.label for s in data]
-    for label in labels:
-        if not 0 <= label < model.output_size:
-            raise DimensionMismatchError(
-                f"label {label} outside 0..{model.output_size - 1}")
+    return model, _train_stacked([model], [data], config, [config.seed])[0]
 
-    rng = np.random.Generator(np.random.PCG64(config.seed))
-    velocity = [np.zeros_like(w) for w in model.weights]
-    history: list[float] = []
-    stale = 0
+
+def _train_stacked(models: list[MlpModel], datasets: list[list[LabeledSample]],
+                   config: TrainingConfig, seeds: list[int]) -> list[list[float]]:
+    """Train models[r] on datasets[r] with seed seeds[r], each as train would alone.
+
+    The runs share every layer size and hyperparameter, so their weights and
+    velocities stack on a leading run axis. Returns the runs' histories.
+    """
+    if not all(datasets):
+        raise EmptyDatasetError("cannot train on an empty dataset")
+    # One row per distinct sample: cross-validation folds share most of theirs.
+    samples = list({id(s): s for data in datasets for s in data}.values())
+    inputs = np.empty((len(samples), models[0].input_size + 1))
+    for i, s in enumerate(samples):
+        inputs[i] = _biased_input(models[0], s.features)
+    n_out = models[0].output_size
+    bad = [s.label for s in samples if not 0 <= s.label < n_out]
+    if bad:
+        raise DimensionMismatchError(f"label {bad[0]} outside 0..{n_out - 1}")
+    targets = np.eye(n_out)[[s.label for s in samples]]
+    row = {id(s): i for i, s in enumerate(samples)}
+    members = [np.array([row[id(s)] for s in data]) for data in datasets]
+
+    rngs = [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
+    weights = [np.stack(layer) for layer in zip(*(m.weights for m in models))]
+    velocity = [np.zeros_like(w) for w in weights]
+    histories: list[list[float]] = [[] for _ in models]
+    stale = [0] * len(models)  # epochs in a row without enough improvement, per run
+    runs = list(range(len(models)))  # the runs in the stack, in stack order
     for _ in range(config.max_epochs):
-        epoch_error = 0.0
-        for idx in rng.permutation(len(data)):
-            grads, error = _backprop(model, inputs[idx], labels[idx])
-            epoch_error += error
-            for w, v, g in zip(model.weights, velocity, grads):
-                v *= config.momentum
-                g *= config.learning_rate
-                v -= g
-                w += v
-        if history and history[-1] - epoch_error < config.stop_tolerance:
-            stale += 1
-        else:
-            stale = 0
-        history.append(epoch_error)
-        if stale >= config.patience:
+        orders = [members[r][rngs[r].permutation(len(members[r]))] for r in runs]
+        shortest = min(map(len, orders))
+        epoch_error = np.zeros(len(runs))
+        # All runs step together up to the shortest shuffle, then each finishes alone.
+        parts = [(slice(None), np.stack([order[:shortest] for order in orders], axis=1))]
+        parts += [(slice(a, a + 1), order[shortest:, None]) for a, order in enumerate(orders)]
+        for part, visits in parts:
+            ws, vs = [w[part] for w in weights], [v[part] for v in velocity]
+            errors = epoch_error[part]
+            for rows in visits:
+                grads, error = _backprop(ws, inputs.take(rows, 0), targets.take(rows, 0))
+                errors += error
+                for w, v, g in zip(ws, vs, grads):
+                    v *= config.momentum
+                    g *= config.learning_rate
+                    v -= g
+                    w += v
+        for a, r in enumerate(runs):
+            for mw, w in zip(models[r].weights, weights):
+                mw[...] = w[a]
+            error, history = float(epoch_error[a]), histories[r]
+            if history and history[-1] - error < config.stop_tolerance:
+                stale[r] += 1
+            else:
+                stale[r] = 0
+            history.append(error)
+        keep = [a for a, r in enumerate(runs) if stale[r] < config.patience]
+        if len(keep) < len(runs):
+            runs = [runs[a] for a in keep]
+            weights, velocity = [w[keep] for w in weights], [v[keep] for v in velocity]
+        if not runs:
             break
-    return model, history
+    return histories
 
 
 def save_model(path, model: MlpModel) -> None:

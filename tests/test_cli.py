@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from digitrec.cli import main, parse_sizes, parse_threshold, UsageError
+from digitrec.cli import _load_dataset, main, parse_sizes, parse_threshold, UsageError
 from digitrec.evaluation import toy_glyph
 from digitrec.features import CSV_HEADER, read_features_csv
 from digitrec.mlp import load_model
@@ -216,8 +216,41 @@ def test_train_rejects_an_oversized_field(feature_csv, tmp_path, capsys):
     assert not out.exists()
 
 
-_CSV_TOKENS = (st.sampled_from(["", "x", "nan", "-inf", "1e999", "-1", "10", "3", "0.5",
-                                '"', ",", "\n", "\r", " ", "\x00", "\u00e9", "9" * 5000])
+def test_train_rejects_a_huge_feature(feature_csv, tmp_path, capsys):
+    # Finite values this large would overflow the sums of a training step.
+    lines = feature_csv.read_text().splitlines()
+    for i in range(1, len(lines)):
+        label = lines[i].split(",")[0]
+        lines[i] = label + "," + ",".join(["1e308", "-1e308"] * 38)
+    data = tmp_path / "huge.csv"
+    data.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "m.mlp"
+    assert main(["train", str(data), "--model-out", str(out),
+                 "--epochs", "3", "--hidden", "3"]) == 2
+    assert capsys.readouterr().err == (
+        f"digitrec: {data}:2: feature value outside [-1e6, 1e6]\n")
+    assert not out.exists()
+
+
+def test_csv_records_are_named_by_their_first_line(feature_csv, tmp_path, capsys):
+    # The first data record spans lines 2-3 (a quoted field holds a
+    # newline, which float() ignores), so the next record is on line 4.
+    lines = feature_csv.read_text().splitlines()
+    row = lines[1].split(",")
+    row[5] = '"' + row[5] + '\n"'
+    data = tmp_path / "quoted.csv"
+    data.write_text("\n".join([lines[0], ",".join(row)] + lines[2:]) + "\n")
+    dataset = _load_dataset(str(data), None, False)
+    assert dataset.provenance[:3] == [f"{data}:2", f"{data}:4", f"{data}:5"]
+    bad = lines[2].split(",")
+    bad[7] = "x"
+    data.write_text("\n".join([lines[0], ",".join(row), ",".join(bad)] + lines[3:]) + "\n")
+    assert main(["train", str(data), "--model-out", str(tmp_path / "m.mlp")]) == 2
+    assert f"digitrec: {data}:4: could not convert" in capsys.readouterr().err
+
+
+_CSV_TOKENS = (st.sampled_from(["", "x", "nan", "-inf", "1e999", "1e308", "-1", "10", "3",
+                                "0.5", '"', ",", "\n", "\r", " ", "\x00", "\u00e9", "9" * 5000])
                | st.text(st.sampled_from('0123456789.,-+eE"x \n'), max_size=6))
 _CSV_EDITS = st.lists(st.tuples(st.sampled_from(["flip", "cut", "extend", "insert"]),
                                 st.integers(0, 10**6), _CSV_TOKENS),

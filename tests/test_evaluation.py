@@ -8,7 +8,7 @@ from digitrec.evaluation import (Dataset, EvaluationReport,
                                  format_confusion, make_folds,
                                  make_toy_dataset, sweep_hidden, toy_glyph,
                                  write_report_csv, write_sweep_csv)
-from digitrec.mlp import LabeledSample, TrainingConfig
+from digitrec.mlp import LabeledSample, TrainingConfig, init_model, predict, train
 
 
 def tiny_dataset(per_class=4, classes=10, seed=33):
@@ -150,6 +150,21 @@ def test_cross_validate_default_trainer_is_reproducible():
     b = cross_validate(data, config, k=2)
     assert a.per_fold_accuracy == b.per_fold_accuracy
     np.testing.assert_array_equal(a.confusion, b.confusion)
+
+
+def test_cross_validate_default_trains_each_fold_as_train_would():
+    # The stacked default must train each fold from the same seed and
+    # samples as a per-fold call of train, and so score exactly as it does.
+    def train_trainer(samples, config):
+        model, _ = train(init_model(config), samples, config)
+        return lambda s: predict(model, s.features)
+
+    data = make_toy_dataset(per_class=5, noise=0.1, seed=51)
+    config = small_config(hidden_size=3, max_epochs=40, seed=8)
+    want = cross_validate(data, config, k=3, trainer=train_trainer)
+    got = cross_validate(data, config, k=3)
+    assert got.per_fold_accuracy == want.per_fold_accuracy
+    np.testing.assert_array_equal(got.confusion, want.confusion)
 
 
 # ---------------------------------------------------------------------------

@@ -506,6 +506,15 @@ def test_feature_csv_rejects_malformed_input(tmp_path):
     rows = [",".join(CSV_HEADER), "3," + ",".join(["-2.5"] * 75 + ["7.0"])]
     path.write_text("\n".join(rows) + "\n")
     assert read_features_csv(path)[1][0][-1] == 7.0
+    # Up to 1e6 in size, that is; larger values would overflow training.
+    rows = [",".join(CSV_HEADER), "3," + ",".join(["-1e6"] * 75 + ["1e6"])]
+    path.write_text("\n".join(rows) + "\n")
+    assert read_features_csv(path)[1][0][-1] == 1e6
+    for value in ["1000000.5", "-1e308"]:
+        rows = [",".join(CSV_HEADER), "3," + ",".join(["0.0"] * 75 + [value])]
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(ValueError, match=rf"{path}:2: feature value outside \[-1e6, 1e6\]"):
+            read_features_csv(path)
 
 
 def test_write_features_csv_keeps_the_old_file_on_failure(tmp_path):

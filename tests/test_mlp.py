@@ -1,18 +1,20 @@
 import math
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from digitrec.evaluation import make_toy_dataset
+from digitrec.evaluation import make_folds, make_toy_dataset
 from digitrec.mlp import (INPUT_SIZE, OUTPUT_SIZE, BadMagicError,
                           DimensionMismatchError, EmptyDatasetError,
                           LabeledSample, MlpModel, ModelFormatError,
                           ShapeMismatchError,
                           TrainingConfig, TruncatedStreamError,
-                          VersionMismatchError, forward, gradient, init_model,
+                          VersionMismatchError, _train_stacked, forward,
+                          gradient, init_model,
                           load_model, predict, random_model, sample_error,
                           save_model, sigmoid, train)
 
@@ -464,3 +466,27 @@ def test_two_hidden_layer_bytes_match_the_oracle(tmp_path):
     # train reads the samples and leaves their features as they were.
     for sample, features in zip(data, before):
         assert sample.features.tobytes() == features.tobytes()
+
+
+def test_lockstep_runs_match_the_oracle_run_alone(tmp_path):
+    # Cross-validation's stacked loop against oracle_train on each fold by
+    # itself. The folds differ in size (130/130/140 samples), so the longer
+    # run takes its last steps of every epoch alone, and they stop early at
+    # different epochs, so runs leave the stack one by one.
+    data = make_toy_dataset(20, 0.05, 3)
+    config = TrainingConfig(hidden_size=20, max_epochs=300, patience=3,
+                            stop_tolerance=0.05, seed=5)
+    plan = make_folds(data, 3, config.seed)
+    folds = [[data.samples[i] for i in plan.train_indices(f)] for f in range(3)]
+    seeds = [5, 6, 7]
+    models = [init_model(replace(config, seed=seed)) for seed in seeds]
+    histories = _train_stacked(models, folds, config, seeds)
+    assert [len(fold) for fold in folds] == [130, 130, 140]
+    assert len({len(history) for history in histories}) == 3
+    for fold, seed, model, history in zip(folds, seeds, models, histories):
+        fold_config = replace(config, seed=seed)
+        want, want_history = oracle_train(init_model(fold_config), fold, fold_config)
+        save_model(tmp_path / "got.mlp", model)
+        save_model(tmp_path / "want.mlp", want)
+        assert history == want_history
+        assert (tmp_path / "got.mlp").read_bytes() == (tmp_path / "want.mlp").read_bytes()
