@@ -127,7 +127,7 @@ def _load_dataset(path_text: str, threshold: int | None,
     if not path.exists():
         raise DataError(f"{path}: no such file or directory")
     try:
-        lines, labels, vectors = features._read_feature_rows(path)
+        lines, labels, vectors = features.read_features_csv(path, with_lines=True)
     except ValueError as exc:
         raise DataError(str(exc)) from exc
     samples = [mlp.LabeledSample(v, l) for l, v in zip(labels, vectors)]
@@ -166,13 +166,11 @@ def cmd_train(args) -> int:
     model = mlp.init_model(config)
     model, history = mlp.train(model, data.samples, config)
     mlp.save_model(args.model_out, model)
-    outs = [(mlp.forward(model, s.features), s.label) for s in data.samples]
-    targets = np.eye(mlp.OUTPUT_SIZE)
-    sse = sum(float(mlp._error(out, targets[label])[1]) for out, label in outs)
-    accuracy = 100.0 * sum(int(np.argmax(out)) == label for out, label in outs) / len(data)
+    sse = sum(mlp.sample_error(model, s) for s in data.samples)
+    hits = sum(mlp.predict(model, s.features) == s.label for s in data.samples)
     print(f"epochs {len(history)}", file=sys.stderr)
     print(f"sse {sse:.6f}")
-    print(f"accuracy {evaluation.format_accuracy(accuracy)}")
+    print(f"accuracy {evaluation.format_accuracy(100.0 * hits / len(data))}")
     print(f"wrote model to {args.model_out}", file=sys.stderr)
     return 0
 

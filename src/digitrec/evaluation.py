@@ -17,8 +17,8 @@ import numpy as np
 from ._atomic import atomic_open
 from .features import extract_features
 from .imgproc import GRID
-from .mlp import (OUTPUT_SIZE, LabeledSample, TrainingConfig, _train_stacked,
-                  init_model, predict)
+from .mlp import (OUTPUT_SIZE, LabeledSample, TrainingConfig, init_model,
+                  predict, train)
 
 
 class TooFewSamplesError(ValueError):
@@ -120,21 +120,20 @@ def cross_validate(data: Dataset, config: TrainingConfig, k: int = 3,
     """k-fold CV with per-fold reseeding.
 
     Fold i trains on the other folds with seed config.seed + i, so
-    every fold's run is independently reproducible. Without a trainer
-    the k backprop runs are trained together, each giving the model
-    train would give it alone; an injected trainer is called once per
-    fold. The confusion matrix pools the test predictions of all folds.
+    every fold's run is independently reproducible. Without a trainer,
+    one train call runs the k backprop runs in lockstep, each to the
+    model it would reach alone; an injected trainer is called once per
+    fold, just before that fold is scored. The confusion matrix pools
+    the test predictions of all folds.
     """
     plan = make_folds(data, k, config.seed)
-    seeds = [config.seed + fold for fold in range(k)]
+    configs = [replace(config, seed=config.seed + fold) for fold in range(k)]
     train_sets = [[data.samples[i] for i in plan.train_indices(fold)] for fold in range(k)]
     if trainer is None:
-        models = [init_model(replace(config, seed=seed)) for seed in seeds]
-        _train_stacked(models, train_sets, config, seeds)
+        models, _ = train([init_model(c) for c in configs], train_sets, config)
         classifiers = [lambda s, model=model: predict(model, s.features) for model in models]
     else:
-        classifiers = [trainer(samples, replace(config, seed=seed))
-                       for samples, seed in zip(train_sets, seeds)]
+        classifiers = (trainer(samples, c) for samples, c in zip(train_sets, configs))
     per_fold = []
     confusion = np.zeros((OUTPUT_SIZE, OUTPUT_SIZE), dtype=np.int64)
     for fold, classify in enumerate(classifiers):

@@ -259,9 +259,7 @@ def write_features_csv(path: str | Path, labels, vectors) -> None:
 
 
 def _csv_records(fh, path):
-    """(first line, record) pairs from csv.reader over fh, with a csv.Error
-    raised as ValueError("path:line: ...").
-    """
+    """(first line, record) pairs of csv.reader over fh; csv.Error becomes ValueError."""
     reader = csv.reader(fh)
     start = 1
     try:
@@ -272,14 +270,12 @@ def _csv_records(fh, path):
         raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
 
 
-def read_features_csv(path: str | Path) -> tuple[list[int], list[np.ndarray]]:
-    """Read a feature CSV back into (labels, vectors); any bad field is a ValueError."""
-    return _read_feature_rows(path)[1:]
+def read_features_csv(path: str | Path, with_lines: bool = False) -> tuple:
+    """Read a feature CSV back into (labels, vectors); any bad field is a ValueError.
 
-
-def _read_feature_rows(path: str | Path) -> tuple[list[int], list[int], list[np.ndarray]]:
-    """(first lines, labels, vectors) of a feature CSV's records; see read_features_csv."""
-    rows = []
+    with_lines puts first the physical line on which each record starts.
+    """
+    lines, labels, vectors = [], [], []
     with open(path, newline="") as fh:
         records = _csv_records(fh, path)
         if next(records, (1, None))[1] != CSV_HEADER:
@@ -298,5 +294,7 @@ def _read_feature_rows(path: str | Path) -> tuple[list[int], list[int], list[np.
             # Larger values would overflow the sums of a training step.
             if (np.abs(vector) > 1e6).any():
                 raise ValueError(f"{path}:{lineno}: feature value outside [-1e6, 1e6]")
-            rows.append((lineno, label, vector))
-    return [r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows]
+            lines.append(lineno)
+            labels.append(label)
+            vectors.append(vector)
+    return (lines, labels, vectors) if with_lines else (labels, vectors)

@@ -3,7 +3,8 @@
 One hidden layer, sample-at-a-time weight updates with momentum, and a
 binary on-disk format. Layer sizes are free so the formulas can be
 checked on tiny networks, but the digit pipeline always builds
-76-hidden-10 models with crisp one-of-ten targets.
+76-hidden-10 models with crisp one-of-ten targets. The network math
+takes an optional leading run axis, on which train stacks lockstep runs.
 """
 
 from __future__ import annotations
@@ -153,10 +154,7 @@ def _biased_input(model: MlpModel, x: np.ndarray) -> np.ndarray:
 
 def _layer_inputs(weights: list[np.ndarray],
                   x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """Each layer's input ending in the bias input 1 (x already does), and the output.
-
-    Here and in _error and _backprop, every array may lead with a run axis.
-    """
+    """Each layer's input ending in the bias input 1 (x already does), and the output."""
     inputs = [x]
     for w in weights[:-1]:
         act = sigmoid(np.matmul(w, inputs[-1][..., None])[..., 0])
@@ -209,9 +207,8 @@ def sample_error(model: MlpModel, sample: LabeledSample) -> float:
     return float(_error(forward(model, sample.features), target)[1])
 
 
-def train(model: MlpModel, data: list[LabeledSample],
-          config: TrainingConfig) -> tuple[MlpModel, list[float]]:
-    """Online backpropagation with momentum, in place.
+def train(model: MlpModel | list[MlpModel], data: list, config: TrainingConfig) -> tuple:
+    """Online backpropagation with momentum, in place; (model, history).
 
     Samples are visited one at a time in a fresh seeded shuffle each
     epoch; each visit applies
@@ -224,33 +221,28 @@ def train(model: MlpModel, data: list[LabeledSample],
     visited. Training stops after max_epochs, or earlier once the
     epoch error improves by less than stop_tolerance for patience
     epochs in a row. Samples are validated and stacked once per call.
+
+    Given a list of models and as many sample lists, run r trains
+    models[r] on data[r] with seed config.seed + r, and (models,
+    histories) is returned. The runs step in lockstep, stacked on a
+    leading run axis, and each ends as it would have trained alone.
     """
-    return model, _train_stacked([model], [data], config, [config.seed])[0]
-
-
-def _train_stacked(models: list[MlpModel], datasets: list[list[LabeledSample]],
-                   config: TrainingConfig, seeds: list[int]) -> list[list[float]]:
-    """Train models[r] on datasets[r] with seed seeds[r], each as train would alone.
-
-    The runs share every layer size and hyperparameter, so their weights and
-    velocities stack on a leading run axis. Returns the runs' histories.
-    """
+    one = isinstance(model, MlpModel)
+    models, datasets = ([model], [data]) if one else (model, data)
     if not all(datasets):
         raise EmptyDatasetError("cannot train on an empty dataset")
     # One row per distinct sample: cross-validation folds share most of theirs.
-    samples = list({id(s): s for data in datasets for s in data}.values())
-    inputs = np.empty((len(samples), models[0].input_size + 1))
-    for i, s in enumerate(samples):
-        inputs[i] = _biased_input(models[0], s.features)
+    samples = list({id(s): s for d in datasets for s in d}.values())
+    inputs = np.array([_biased_input(models[0], s.features) for s in samples])
     n_out = models[0].output_size
-    bad = [s.label for s in samples if not 0 <= s.label < n_out]
-    if bad:
-        raise DimensionMismatchError(f"label {bad[0]} outside 0..{n_out - 1}")
+    for s in samples:
+        if not 0 <= s.label < n_out:
+            raise DimensionMismatchError(f"label {s.label} outside 0..{n_out - 1}")
     targets = np.eye(n_out)[[s.label for s in samples]]
     row = {id(s): i for i, s in enumerate(samples)}
-    members = [np.array([row[id(s)] for s in data]) for data in datasets]
+    members = [np.array([row[id(s)] for s in d]) for d in datasets]
 
-    rngs = [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
+    rngs = [np.random.Generator(np.random.PCG64(config.seed + r)) for r in range(len(models))]
     weights = [np.stack(layer) for layer in zip(*(m.weights for m in models))]
     velocity = [np.zeros_like(w) for w in weights]
     histories: list[list[float]] = [[] for _ in models]
@@ -284,12 +276,11 @@ def _train_stacked(models: list[MlpModel], datasets: list[list[LabeledSample]],
                 stale[r] = 0
             history.append(error)
         keep = [a for a, r in enumerate(runs) if stale[r] < config.patience]
-        if len(keep) < len(runs):
-            runs = [runs[a] for a in keep]
-            weights, velocity = [w[keep] for w in weights], [v[keep] for v in velocity]
+        runs = [runs[a] for a in keep]
+        weights, velocity = [w[keep] for w in weights], [v[keep] for v in velocity]
         if not runs:
             break
-    return histories
+    return model, histories[0] if one else histories
 
 
 def save_model(path, model: MlpModel) -> None:

@@ -13,7 +13,7 @@ from digitrec.mlp import (INPUT_SIZE, OUTPUT_SIZE, BadMagicError,
                           LabeledSample, MlpModel, ModelFormatError,
                           ShapeMismatchError,
                           TrainingConfig, TruncatedStreamError,
-                          VersionMismatchError, _train_stacked, forward,
+                          VersionMismatchError, forward,
                           gradient, init_model,
                           load_model, predict, random_model, sample_error,
                           save_model, sigmoid, train)
@@ -478,9 +478,8 @@ def test_lockstep_runs_match_the_oracle_run_alone(tmp_path):
                             stop_tolerance=0.05, seed=5)
     plan = make_folds(data, 3, config.seed)
     folds = [[data.samples[i] for i in plan.train_indices(f)] for f in range(3)]
-    seeds = [5, 6, 7]
-    models = [init_model(replace(config, seed=seed)) for seed in seeds]
-    histories = _train_stacked(models, folds, config, seeds)
+    seeds = [5, 6, 7]  # train gives run r the seed config.seed + r
+    models, histories = train([init_model(replace(config, seed=s)) for s in seeds], folds, config)
     assert [len(fold) for fold in folds] == [130, 130, 140]
     assert len({len(history) for history in histories}) == 3
     for fold, seed, model, history in zip(folds, seeds, models, histories):
