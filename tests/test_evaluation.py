@@ -134,6 +134,22 @@ def test_cross_validate_feeds_each_fold_and_reseeds():
     assert [s for _, s in seen] == [40, 41, 42]
 
 
+def test_cross_validate_scores_each_fold_right_after_training_it():
+    # An injected trainer may keep state, so fold i is trained, then
+    # scored, before fold i + 1 is trained.
+    data = tiny_dataset(per_class=3)
+    events = []
+
+    def spy_trainer(samples, config):
+        events.append(("train", config.seed))
+        return lambda s: events.append(("score", config.seed)) or s.label
+
+    cross_validate(data, small_config(seed=40), k=3, trainer=spy_trainer)
+    runs = [e for i, e in enumerate(events) if i == 0 or e != events[i - 1]]
+    assert runs == [("train", 40), ("score", 40), ("train", 41), ("score", 41),
+                    ("train", 42), ("score", 42)]
+
+
 def test_cross_validate_scores_a_biased_stub():
     # A classifier that always answers 0 is right exactly once per ten.
     data = tiny_dataset(per_class=3)
