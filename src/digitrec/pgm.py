@@ -5,8 +5,9 @@ maximum gray value of 255. Images are exchanged as 2-D uint8 numpy
 arrays indexed [row, col]; samples of a file whose maxval is below 255
 are rescaled to 0..255 on read, so thresholds always use that scale.
 
-Header grammar: the magic, width, height and maxval, each preceded by
-whitespace or "#" comments, a comment running to the end of its line.
+Grammar: the magic, width, height, maxval and every P2 sample (decimal
+digits, leading zeros allowed, at most 3 significant) are each preceded
+by ASCII whitespace or "#" comments, a comment running to its line end.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ def read_pgm(path: str | Path) -> np.ndarray:
     v * 255 / maxval, (v * 255 + maxval // 2) // maxval.
 
     Raises PgmError on a bad magic number, malformed header, maxval
-    above 255, or a raster with the wrong number of samples.
+    above 255, a P2 sample other than digits (leading zeros allowed, at
+    most 3 significant), or a raster with the wrong number of samples.
     """
     data = Path(path).read_bytes()
     match = _HEADER.match(data)
@@ -64,15 +66,23 @@ def read_pgm(path: str | Path) -> np.ndarray:
         img = np.frombuffer(raster[:count], dtype=np.uint8)
         peak = int(img.max())
     else:
-        samples = re.sub(rb"#[^\r\n]*", b" ", data[end:]).split()
-        bad = next((tok for tok in samples if not tok.isdigit()), None)
-        if bad is not None:
+        body = data[end:]
+        if b"#" in body:
+            body = re.sub(rb"#[^\r\n]*", b" ", body)
+        if body.translate(None, b"0123456789 \t\n\r\x0b\x0c"):
+            bad = next(tok for tok in body.split() if not tok.isdigit())
             raise PgmError(f"malformed sample {bad!r}")
-        if len(samples) != count:
-            raise PgmError(f"raster has {len(samples)} samples, expected {count}")
-        # Compared as Python ints: a sample past int64 is an error, not an overflow.
-        img = [int(tok) for tok in samples]
-        peak = max(img)
+        raw = np.frombuffer(b" " + body + b" ", dtype=np.uint8)  # digits or separators
+        before, last = np.flatnonzero(np.diff(raw > 32)).reshape(-1, 2).T
+        if len(last) != count:
+            raise PgmError(f"raster has {len(last)} samples, expected {count}")
+        # Values from each token's last 3 places (its separator reads as 0);
+        # tokens of 4+ digits are read whole, so 20 digits are an error, not an overflow.
+        digit = np.maximum(raw, 48) - 48
+        img = digit.take(last) + digit.take(last - 1) * np.uint16(10)
+        img += digit.take(np.maximum(last - 2, before)) * np.uint16(100)
+        peak = max([int(img.max())] + [int(bytes(raw[before[i] + 1:last[i] + 1]))
+                                       for i in np.flatnonzero(last - before > 3)])
 
     if peak > maxval:
         raise PgmError(f"sample exceeds declared maxval {maxval}")
