@@ -25,9 +25,10 @@ class PgmError(ValueError):
 
 
 # A comment always runs to the end of its line, so a line of many "#"
-# parses one way only and a failed match does not backtrack for long.
+# parses one way only and a failed match does not backtrack for long. A field
+# past 9 significant digits does not match, so int() never meets a huge number.
 _SEP = rb"(?:\s|#[^\r\n]*(?![^\r\n]))"
-_HEADER = re.compile(_SEP + rb"*(P[25])" + (_SEP + rb"+(\d+)") * 3)
+_HEADER = re.compile(_SEP + rb"*(P[25])" + (_SEP + rb"+0*(\d{1,9})(?!\d)") * 3)
 
 
 def read_pgm(path: str | Path) -> np.ndarray:
@@ -64,7 +65,6 @@ def read_pgm(path: str | Path) -> np.ndarray:
         if raster[count:].strip():
             raise PgmError(f"{len(raster) - count} trailing bytes after raster")
         img = np.frombuffer(raster[:count], dtype=np.uint8)
-        peak = int(img.max())
     else:
         body = data[end:]
         if b"#" in body:
@@ -72,19 +72,19 @@ def read_pgm(path: str | Path) -> np.ndarray:
         if body.translate(None, b"0123456789 \t\n\r\x0b\x0c"):
             bad = next(tok for tok in body.split() if not tok.isdigit())
             raise PgmError(f"malformed sample {bad!r}")
-        raw = np.frombuffer(b" " + body + b" ", dtype=np.uint8)  # digits or separators
+        # Per token: the index of the separator before it and of its last digit.
+        raw = np.frombuffer(b" " + body + b" ", dtype=np.uint8)
         before, last = np.flatnonzero(np.diff(raw > 32)).reshape(-1, 2).T
         if len(last) != count:
             raise PgmError(f"raster has {len(last)} samples, expected {count}")
-        # Values from each token's last 3 places (its separator reads as 0);
-        # tokens of 4+ digits are read whole, so 20 digits are an error, not an overflow.
+        # Each value from its token's last 3 places; a separator reads as 0.
         digit = np.maximum(raw, 48) - 48
         img = digit.take(last) + digit.take(last - 1) * np.uint16(10)
         img += digit.take(np.maximum(last - 2, before)) * np.uint16(100)
-        peak = max([int(img.max())] + [int(bytes(raw[before[i] + 1:last[i] + 1]))
-                                       for i in np.flatnonzero(last - before > 3)])
+        for i in np.flatnonzero(last - before > 3):  # a 4th significant digit: over 999
+            img[i] += 1000 * (raw[before[i] + 1:last[i] - 2] > 48).any()
 
-    if peak > maxval:
+    if img.max() > maxval:
         raise PgmError(f"sample exceeds declared maxval {maxval}")
     if maxval < 255:
         img = (np.asarray(img, dtype=np.int64) * 255 + maxval // 2) // maxval

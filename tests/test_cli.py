@@ -257,9 +257,10 @@ _CSV_EDITS = st.lists(st.tuples(st.sampled_from(["flip", "cut", "extend", "inser
                       min_size=1, max_size=6)
 
 
-def mutate_csv(text, edits):
-    """text split into fields and separators, with each edit applied in turn."""
-    tokens = re.split(r"([,\n])", text)
+def mutate(text, edits, separators=r"([,\n])"):
+    """text split at a pattern (CSV fields and separators by default), with
+    each edit applied in turn; bytes take a bytes pattern."""
+    tokens = re.split(separators, text)
     for kind, pos, token in edits:
         if kind == "flip" and tokens:
             tokens[pos % len(tokens)] = token
@@ -269,7 +270,7 @@ def mutate_csv(text, edits):
             tokens.append(token)
         else:
             tokens.insert(pos % (len(tokens) + 1), token)
-    return "".join(tokens)
+    return text[:0].join(tokens)
 
 
 @settings(deadline=None, max_examples=150)
@@ -280,7 +281,7 @@ def test_train_on_a_mutated_csv_exits_cleanly(feature_csv, tmp_path_factory, edi
     # (Token 200 of the @example is a field of the first data row.)
     work = tmp_path_factory.mktemp("mutated")
     data = work / "features.csv"
-    data.write_text(mutate_csv(feature_csv.read_text(), edits), encoding="utf-8")
+    data.write_text(mutate(feature_csv.read_text(), edits), encoding="utf-8")
     out = work / "m.mlp"
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
@@ -296,6 +297,60 @@ def test_train_on_a_mutated_csv_exits_cleanly(feature_csv, tmp_path_factory, edi
         assert not any(line.startswith("digitrec:") for line in lines)
         assert out.exists()
     assert not list(work.glob(".*.tmp"))
+
+
+_PGM_TOKENS = (st.sampled_from([b"", b"x", b"-1", b"0", b"255", b"256", b"0256", b"1000",
+                                b"99999999999999999999", b"9" * 5000, b"P2", b"P5", b"#",
+                                b"# c\n", b" ", b"\n", b"\r", b"\x00", b"\x1c", b"\xff"])
+               | st.binary(max_size=6))
+_PGM_EDITS = st.lists(st.tuples(st.sampled_from(["flip", "cut", "extend", "insert"]),
+                                st.integers(0, 10**6), _PGM_TOKENS),
+                      max_size=4)
+
+
+@pytest.fixture(scope="module")
+def noisy_scans(tmp_path_factory):
+    """The bytes of one P2 and one P5 scan: glyphs 0 and 1 with ink 0..59
+    and paper 180..255, so a P5 raster holds whitespace bytes too."""
+    rng = np.random.Generator(np.random.PCG64(3))
+    root = tmp_path_factory.mktemp("scans")
+    scans = []
+    for label, binary in ((0, False), (1, True)):
+        ink = toy_glyph(label).astype(bool)
+        gray = np.where(ink, rng.integers(0, 60, ink.shape), rng.integers(180, 256, ink.shape))
+        write_pgm(root / "scan.pgm", gray.astype(np.uint8), binary=binary)
+        scans.append((root / "scan.pgm").read_bytes())
+    return scans
+
+
+@settings(deadline=None, max_examples=200)
+@given(_PGM_EDITS, _PGM_EDITS, st.booleans())
+@example([("flip", 4, b"9" * 5000)], [], False)  # token 4 is the width
+@example([("flip", 10, b"9" * 5000)], [], True)  # token 10 is the first sample
+def test_extract_on_mutated_scans_exits_cleanly(noisy_scans, tmp_path_factory,
+                                                p2_edits, p5_edits, old_csv):
+    # Damaged scans in a two-class corpus either extract or fail with one
+    # data-error line, leaving the output CSV as it was.
+    root = tmp_path_factory.mktemp("corpus")
+    for label, scan, edits in zip((0, 1), noisy_scans, (p2_edits, p5_edits)):
+        (root / str(label)).mkdir()
+        (root / str(label) / "scan.pgm").write_bytes(mutate(scan, edits, rb"(\s+)"))
+    out = root / "features.csv"
+    if old_csv:
+        out.write_bytes(b"old\n")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["extract", str(root), str(out), "--threshold", "otsu"])
+    lines = err.getvalue().splitlines()
+    assert "Traceback" not in err.getvalue()
+    assert code in (0, 2), lines
+    if code == 2:
+        assert [line for line in lines if line.startswith("digitrec:")] == lines[-1:]
+        assert out.read_bytes() == b"old\n" if old_csv else not out.exists()
+    else:
+        assert not any(line.startswith("digitrec:") for line in lines)
+        assert len(read_features_csv(out)[0]) == 2 - err.getvalue().count("no ink")
+    assert not list(root.rglob(".*.tmp"))
 
 
 # ---------------------------------------------------------------------------

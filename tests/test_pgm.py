@@ -26,6 +26,15 @@ def test_p2_roundtrip(tmp_path):
     np.testing.assert_array_equal(read_pgm(path), img)
 
 
+def test_p2_roundtrip_of_a_large_scan(tmp_path):
+    # Thousands of samples over wrapped lines, past the round-trip property's 40x40.
+    rng = np.random.Generator(np.random.PCG64(2))
+    img = rng.integers(0, 256, size=(180, 130), dtype=np.uint8)
+    path = tmp_path / "img.pgm"
+    write_pgm(path, img, binary=False)
+    np.testing.assert_array_equal(read_pgm(path), img)
+
+
 def test_p2_with_comments_and_odd_whitespace(tmp_path):
     path = tmp_path / "img.pgm"
     path.write_text("P2 # magic\n# a comment line\n 2\t2\n255\n0 128\n#mid\n255 7\n")
@@ -175,7 +184,9 @@ def oracle_read_pgm(path) -> np.ndarray:
 _SEPARATORS = st.lists(st.sampled_from(
     [b" ", b"\n", b"\t", b"\r\n", b"\r", b"\x0b\x0c", b"# c\n", b"#\r", b"##x\n", b"#"]),
     min_size=1, max_size=3).map(b"".join)
-_ODD_TOKENS = st.sampled_from([b"99999999999999999999", b"1a", b"-1", b"0", b"256", b"P2", b""])
+_ODD_TOKENS = st.sampled_from([b"99999999999999999999", b"1a", b"-1", b"0", b"256", b"P2", b"",
+                               b"007", b"0256", b"1000", b"0001000",
+                               b"0000000000000000000255"])
 
 
 @st.composite
@@ -208,6 +219,8 @@ def pgm_files(draw):
 @settings(deadline=None, max_examples=500)
 @given(pgm_files())
 @example(b"P2\n2 1\n255\n0 99999999999999999999\n")
+@example(b"P2\n2 1\n9\n09 3\n")
+@example(b"P2\n2 1\n255\n0\x1c7\n")  # bytes.split() does not split at \x1c
 def test_read_pgm_agrees_with_oracle(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("pgm") / "img.pgm"
     path.write_bytes(data)
