@@ -72,8 +72,8 @@ def read_pgm(path: str | Path) -> np.ndarray:
         if body.translate(None, b"0123456789 \t\n\r\x0b\x0c"):
             bad = next(tok for tok in body.split() if not tok.isdigit())
             raise PgmError(f"malformed sample {bad!r}")
-        # Per token: the index of the separator before it and of its last digit.
         raw = np.frombuffer(b" " + body + b" ", dtype=np.uint8)
+        # Per token: the index of the separator before it and of its last digit.
         before, last = np.flatnonzero(np.diff(raw > 32)).reshape(-1, 2).T
         if len(last) != count:
             raise PgmError(f"raster has {len(last)} samples, expected {count}")

@@ -325,8 +325,8 @@ def noisy_scans(tmp_path_factory):
 
 @settings(deadline=None, max_examples=200)
 @given(_PGM_EDITS, _PGM_EDITS, st.booleans())
-@example([("flip", 4, b"9" * 5000)], [], False)  # token 4 is the width
-@example([("flip", 10, b"9" * 5000)], [], True)  # token 10 is the first sample
+@example([("flip", 2, b"9" * 5000)], [], False)  # token 2 is the width
+@example([("flip", 8, b"9" * 5000)], [], True)  # token 8 is the first sample
 def test_extract_on_mutated_scans_exits_cleanly(noisy_scans, tmp_path_factory,
                                                 p2_edits, p5_edits, old_csv):
     # Damaged scans in a two-class corpus either extract or fail with one

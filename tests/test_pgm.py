@@ -220,6 +220,8 @@ def pgm_files(draw):
 @given(pgm_files())
 @example(b"P2\n2 1\n255\n0 99999999999999999999\n")
 @example(b"P2\n2 1\n9\n09 3\n")
+@example(b"P2\n2 1\n255\n0001000 7\n")
+@example(b"P2\n2 1\n255\n0000000000000000000255 007\n")
 @example(b"P2\n2 1\n255\n0\x1c7\n")  # bytes.split() does not split at \x1c
 def test_read_pgm_agrees_with_oracle(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("pgm") / "img.pgm"
