@@ -44,13 +44,12 @@ lines and the sum is divided by 1024.
 
 All three families are computed from tables fixed at import and
 array operations: shadows OR together per-pixel one-hot cell masks,
-and centroids are bincounts over the octant map. Longest runs come
-from run-length maps. Each scan line of each direction is a row of flat
-pixel indices ending in -1, so gathering the raster gives 0/1 lines that
-end blank. Laid end to end, their run starts and stops are where ink
-begins and ends, and each ink cell gets its run's length stop - start.
-A line's value for a region is the maximum of that map over the line's
-cells inside the region, and lines that miss the region contribute 0.
+and centroids are bincounts over the octant map. For longest runs the
+190 scan lines lie end to end as flat pixel indices, each followed by
+an off-raster -1; gathering the raster gives 0/1 lines whose run edges
+alternate start, stop, and each ink cell gets its run's length. One
+maximum.reduceat over a fixed table of the 846 (region, direction,
+line) segments gives the per-line maxima; one add.reduceat sums them.
 """
 
 from __future__ import annotations
@@ -127,45 +126,50 @@ def octant_of(row: int, col: int) -> int:
     return int(_OCTANT_MAP[row, col])
 
 
-def _scan_lines(h: int, w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cells of every scan line of an h x w raster, per direction.
+def _scan_lines(h: int, w: int) -> tuple[np.ndarray, ...]:
+    """Cells of every scan line of an h x w raster, laid end to end.
 
-    Returns (row, col, flat) arrays of shape (4, h + w - 1, max(h, w) + 1):
-    direction (DIRECTIONS order), line, position along the line. Lines
-    are in row, column, row - col and row + col order; diagonal lines
-    are walked by row. Cells off the raster, the last of every line
-    among them, have flat index -1.
+    Returns (direction, row, col, flat) arrays with one entry per cell:
+    the h rows, the w columns and the h + w - 1 lines of each diagonal
+    direction, in DIRECTIONS order. Lines are in row, column, row - col
+    and row + col order; diagonal lines are walked by row. Every line is
+    followed by one off-raster cell, whose flat index is -1.
     """
     line, pos = np.ogrid[:h + w - 1, :max(h, w) + 1]
     row = np.stack(np.broadcast_arrays(line, pos, pos, pos))
     col = np.stack(np.broadcast_arrays(pos, line, pos + w - 1 - line, line - pos))
     on = (row < h) & (col >= 0) & (col < w)
-    return row, col, np.where(on, row * w + col, -1)
+    keep = on | np.pad(on[..., :-1], ((0, 0), (0, 0), (1, 0)))  # a line's cells, then one more
+    direction = np.broadcast_to(np.arange(4)[:, None, None], on.shape)
+    return tuple(a[keep] for a in (direction, row, col, np.where(on, row * w + col, -1)))
 
 
 def _run_lengths(ink: np.ndarray, flat: np.ndarray) -> np.ndarray:
     """Length of the ink run holding each scan-line cell, 0 off ink."""
     cells = np.append(ink.ravel(), False)[flat]
-    # Every line ends blank, so laid end to end no run crosses a line end.
-    edges = np.diff(cells.view(np.int8).ravel(), prepend=0)
-    length = np.flatnonzero(edges == -1) - np.flatnonzero(edges == 1)
+    # Lines end blank, so no run crosses a line end and edges alternate start, stop.
+    edges = np.flatnonzero(np.diff(cells, prepend=False))
+    length = edges[1::2] - edges[::2]
     runs = np.zeros(cells.shape, dtype=flat.dtype)
     runs[cells] = np.repeat(length, length)
     return runs
 
 
-def _build_region_tables() -> tuple[np.ndarray, np.ndarray]:
-    """32x32 scan-line flat indices and, per region, a (9, 4, lines,
-    positions) mask of the scan-line cells inside it."""
-    row, col, flat = _scan_lines(GRID, GRID)
-    top = np.array([0, 8, 16]).reshape(-1, 1, 1, 1)
+def _build_region_tables() -> tuple[np.ndarray, ...]:
+    """32x32 scan-line flat indices; cells, starts and groups of the region segments."""
+    direction, row, col, flat = _scan_lines(GRID, GRID)
+    top = np.array([0, 8, 16])[:, None]
     in_rows = (top <= row) & (row < top + _HALF)
     in_cols = (top <= col) & (col < top + _HALF)
-    inside = (in_rows[:, None] & in_cols[None]).reshape(9, *row.shape)
-    return flat.astype(np.int16), inside
+    # Line ends lie off the raster, so consecutive inside cells share a line.
+    index = np.flatnonzero(in_rows[:, None] & in_cols[None])
+    region, cells = np.divmod(index, flat.size)
+    seg = np.flatnonzero(np.diff(index, prepend=-2) != 1)
+    group = np.flatnonzero(np.diff(4 * region[seg] + direction[cells[seg]], prepend=-1))
+    return flat, cells, seg, group
 
 
-_LINE_FLAT, _REGION_CELLS = _build_region_tables()
+_LINE_FLAT, _SEGMENT_CELLS, _SEGMENT_STARTS, _GROUP_STARTS = _build_region_tables()
 
 
 def _check_canonical(img: np.ndarray) -> np.ndarray:
@@ -215,10 +219,12 @@ def longest_runs_by_line(img: np.ndarray, rows: tuple[int, int],
         raise ValueError(f"window {rows}x{cols} outside a {h}x{w} raster")
     if direction not in DIRECTIONS:
         raise ValueError(f"unknown direction {direction!r}")
-    row, col, flat = (a[DIRECTIONS.index(direction)] for a in _scan_lines(h, w))
-    inside = (r0 <= row) & (row <= r1) & (c0 <= col) & (col <= c1)
-    best = np.where(inside, _run_lengths(img != 0, flat), 0).max(axis=1)
-    return best[inside.any(axis=1)].tolist()
+    dirs, row, col, flat = _scan_lines(h, w)
+    inside = dirs == DIRECTIONS.index(direction)
+    inside &= (r0 <= row) & (row <= r1) & (c0 <= col) & (col <= c1)
+    starts = np.flatnonzero(np.append(True, flat[:-1] == -1))  # line starts
+    best = np.maximum.reduceat(np.where(inside, _run_lengths(img != 0, flat), 0), starts)
+    return best[np.logical_or.reduceat(inside, starts)].tolist()
 
 
 def longest_run_features(img: np.ndarray) -> np.ndarray:
@@ -229,8 +235,8 @@ def longest_run_features(img: np.ndarray) -> np.ndarray:
     divided by 1024.
     """
     runs = _run_lengths(_check_canonical(img), _LINE_FLAT)
-    best = (runs * _REGION_CELLS).max(axis=-1)
-    return best.sum(axis=-1).ravel() / (GRID * GRID)
+    best = np.maximum.reduceat(runs[_SEGMENT_CELLS], _SEGMENT_STARTS)
+    return np.add.reduceat(best, _GROUP_STARTS) / (GRID * GRID)
 
 
 def extract_features(img: np.ndarray) -> np.ndarray:

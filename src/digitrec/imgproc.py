@@ -97,8 +97,10 @@ def bilinear_resize(src: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     x1 = np.minimum(x0 + 1, w - 1)
     fy = (ys - y0)[:, None]
     fx = (xs - x0)[None, :]
-    top = src[y0][:, x0] * (1 - fx) + src[y0][:, x1] * fx
-    bot = src[y1][:, x0] * (1 - fx) + src[y1][:, x1] * fx
+    block = src[np.concatenate([y0, y1])][:, np.concatenate([x0, x1])]  # rows, then columns
+    (tl, tr), (bl, br) = block.reshape(2, out_h, 2, out_w).swapaxes(1, 2)
+    top = tl * (1 - fx) + tr * fx
+    bot = bl * (1 - fx) + br * fx
     return top * (1 - fy) + bot * fy
 
 

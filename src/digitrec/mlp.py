@@ -327,6 +327,8 @@ def load_model(path) -> MlpModel:
     for n_in, n_out in zip(sizes, sizes[1:]):
         raw = take(8 * n_out * (n_in + 1), "weight matrix")
         weights.append(np.frombuffer(raw, dtype="<f8").reshape(n_out, n_in + 1).copy())
+        if not (np.abs(weights[-1]) <= 1e6).all():  # NaN too; keeps forward far from overflow
+            raise ModelFormatError(f"weight outside [-1e6, 1e6] in layer {len(weights)}")
     if offset != len(data):
         raise ShapeMismatchError(f"{len(data) - offset} trailing bytes after weights")
     return MlpModel(weights)

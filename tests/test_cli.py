@@ -1,6 +1,7 @@
 import contextlib
 import io
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from digitrec.cli import _load_dataset, main, parse_sizes, parse_threshold, UsageError
 from digitrec.evaluation import toy_glyph
 from digitrec.features import CSV_HEADER, read_features_csv
-from digitrec.mlp import load_model
+from digitrec.mlp import load_model, save_model
 from digitrec.pgm import write_pgm
 
 
@@ -396,6 +397,59 @@ def test_predict_rejects_damaged_model(trained_model, tmp_path, capsys):
     assert main(["predict", str(stub), str(image)]) == 2
     assert main(["predict", str(trained_model), str(tmp_path / "no.pgm")]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("layer, cells, value", [(0, (0, 0), np.nan), (1, ..., np.inf)])
+def test_predict_rejects_a_model_with_non_finite_weights(trained_model, tmp_path, capsys,
+                                                         layer, cells, value):
+    model = load_model(trained_model)
+    model.weights[layer][cells] = value
+    bad = tmp_path / "bad.mlp"
+    save_model(bad, model)
+    image = tmp_path / "sample.pgm"
+    write_pgm(image, glyph_pgm(1))
+    assert main(["predict", str(bad), str(image)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines() == [f"digitrec: weight outside [-1e6, 1e6] in layer {layer + 1}"]
+
+
+_WEIGHT_TOKENS = (st.sampled_from([struct.pack("<d", v) for v in
+                                   (np.nan, np.inf, -np.inf, 1.7e308, -1e6, 1e6, 0.0)]
+                                  + [struct.pack("<I", n) for n in (0, 1, 3, 10, 76, 2**32 - 1)])
+                  | st.binary(max_size=9))
+_MODEL_EDITS = st.lists(st.tuples(st.sampled_from(["flip", "cut", "extend", "insert"]),
+                                  st.integers(0, 10**6), _WEIGHT_TOKENS),
+                        max_size=4)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_MODEL_EDITS, _PGM_EDITS, st.booleans())
+@example([("flip", t, struct.pack("<d", 1.7e308)) for t in range(1855, 1880, 2)], [], True)
+def test_predict_on_a_mutated_model_exits_cleanly(trained_model, noisy_scans, tmp_path_factory,
+                                                  model_edits, scan_edits, binary):
+    # A damaged model file or scan either predicts or is one data-error line.
+    # (The model splits into 8-byte tokens; those of the @example are the first
+    # output row, whose sum then overflows without the bound on weights.)
+    work = tmp_path_factory.mktemp("predict")
+    model = work / "m.mlp"
+    model.write_bytes(mutate(trained_model.read_bytes(), model_edits, rb"([\x00-\xff]{8})"))
+    scan = work / "scan.pgm"
+    scan.write_bytes(mutate(noisy_scans[binary], scan_edits, rb"(\s+)"))
+    err, out = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+        code = main(["predict", str(model), str(scan)])
+    lines = err.getvalue().splitlines()
+    assert "Traceback" not in err.getvalue()
+    assert code in (0, 2), lines
+    if code == 2:
+        assert len(lines) == 1 and lines[0].startswith("digitrec: ")
+    else:
+        assert lines == []
+        label, scores = out.getvalue().splitlines()
+        scores = [float(v) for v in scores.split()]
+        assert all(0 <= v <= 1 for v in scores) and int(label) == np.argmax(scores)
+    assert not list(work.glob(".*.tmp"))
 
 
 # ---------------------------------------------------------------------------

@@ -414,8 +414,22 @@ def test_centroid_equals_oracle(img):
     np.testing.assert_array_equal(centroid_features(img), oracle_centroid(img))
 
 
+# Rasters whose ink sits on the edges of the regions' segments.
+_EDGE_LINES = np.isin(np.arange(GRID), [7, 8, 15, 16, 23, 24])
+_EDGE_ROWS = np.repeat(_EDGE_LINES[:, None], GRID, axis=1).astype(np.uint8)
+_CORNERS = np.zeros((GRID, GRID), np.uint8)
+_CORNERS[[0, 0, -1, -1], [0, -1, 0, -1]] = 1
+_DIAGONALS = (np.eye(GRID) + np.fliplr(np.eye(GRID)) > 0).astype(np.uint8)
+_CHECKERBOARD = (np.indices((GRID, GRID)).sum(axis=0) % 2).astype(np.uint8)
+
+
 @settings(deadline=None, max_examples=50)
 @given(rasters)
+@example(_EDGE_ROWS)
+@example(_EDGE_ROWS.T)
+@example(_CORNERS)
+@example(_DIAGONALS)
+@example(_CHECKERBOARD)
 def test_longest_run_equals_oracle(img):
     np.testing.assert_array_equal(longest_run_features(img), oracle_longest_run(img))
 

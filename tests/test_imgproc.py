@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from digitrec.imgproc import (GRID, BoundingBox, NoForegroundError, binarize,
                               bilinear_resize, minimal_bounding_box,
@@ -96,6 +99,33 @@ def test_bilinear_matches_scalar_reference():
         got = bilinear_resize(src, 32, 32)
         np.testing.assert_allclose(got, reference_bilinear(src, 32, 32),
                                    rtol=0, atol=1e-9)
+
+
+def four_gather_bilinear(src, out_h, out_w):
+    """bilinear_resize as it was with one gather per corner: the same
+    arithmetic per element, so the results must be equal, not close."""
+    src = np.asarray(src, dtype=np.float64)
+    h, w = src.shape
+    ys = np.arange(out_h) * ((h - 1) / (out_h - 1)) if out_h > 1 else np.zeros(1)
+    xs = np.arange(out_w) * ((w - 1) / (out_w - 1)) if out_w > 1 else np.zeros(1)
+    y0 = np.floor(ys).astype(int)
+    x0 = np.floor(xs).astype(int)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    fy = (ys - y0)[:, None]
+    fx = (xs - x0)[None, :]
+    top = src[y0][:, x0] * (1 - fx) + src[y0][:, x1] * fx
+    bot = src[y1][:, x0] * (1 - fx) + src[y1][:, x1] * fx
+    return top * (1 - fy) + bot * fy
+
+
+@settings(deadline=None, max_examples=300)
+@given(arrays(np.float64, st.tuples(st.integers(1, 70), st.integers(1, 70)),
+              elements=st.floats(0, 255)),
+       st.integers(1, 70), st.integers(1, 70))
+def test_bilinear_equals_the_four_gather_formula(src, out_h, out_w):
+    np.testing.assert_array_equal(bilinear_resize(src, out_h, out_w),
+                                  four_gather_bilinear(src, out_h, out_w))
 
 
 def test_normalize_uniform_dark_input():

@@ -356,6 +356,21 @@ def test_load_rejects_malformed_streams(tmp_path):
             load_model(path)
 
 
+@pytest.mark.parametrize("layer, cells, value", [
+    (0, (0, 0), np.nan), (1, ..., np.inf), (0, (4, 76), -np.inf), (1, (9, 0), 1e300)])
+def test_load_rejects_non_finite_and_huge_weights(tmp_path, layer, cells, value):
+    # Such a model would predict label 0 with nan outputs, or overflow.
+    model = random_model([INPUT_SIZE, 5, OUTPUT_SIZE], seed=3)
+    model.weights[layer][cells] = value
+    path = tmp_path / "bad.mlp"
+    save_model(path, model)
+    with pytest.raises(ModelFormatError, match=f"layer {layer + 1}"):
+        load_model(path)
+    model.weights[layer][cells] = 1e6  # the largest magnitude kept
+    save_model(path, model)
+    assert load_model(path).weights[layer].max() == 1e6
+
+
 GOOD_MODEL = stream([2, 3, 4], random_model([2, 3, 4], seed=5).weights)
 
 
