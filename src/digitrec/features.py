@@ -44,12 +44,15 @@ lines and the sum is divided by 1024.
 
 All three families are computed from tables fixed at import and
 array operations: shadows OR together per-pixel one-hot cell masks,
-and centroids are bincounts over the octant map. For longest runs the
-190 scan lines lie end to end as flat pixel indices, each followed by
-an off-raster -1; gathering the raster gives 0/1 lines whose run edges
-alternate start, stop, and each ink cell gets its run's length. One
-maximum.reduceat over a fixed table of the 846 (region, direction,
-line) segments gives the per-line maxima; one add.reduceat sums them.
+and centroids are bincounts over the octant map. For longest runs one
+builder lays the scan lines end to end as flat pixel indices, each
+followed by an off-raster -1, and cuts the cells inside each window
+into one contiguous segment per line: 846 (region, direction, line)
+segments over the 190 lines of the 32x32 raster. One reduction gathers
+the raster into 0/1 lines, whose run edges alternate start, stop,
+gives each ink cell its run's length and takes each segment's maximum
+with maximum.reduceat; add.reduceat then sums the regions.
+longest_runs_by_line runs the same two functions on its one window.
 """
 
 from __future__ import annotations
@@ -126,50 +129,49 @@ def octant_of(row: int, col: int) -> int:
     return int(_OCTANT_MAP[row, col])
 
 
-def _scan_lines(h: int, w: int) -> tuple[np.ndarray, ...]:
-    """Cells of every scan line of an h x w raster, laid end to end.
+def _line_segments(h: int, w: int, windows) -> tuple[np.ndarray, ...]:
+    """Scan lines of an h x w raster and their segments inside each window.
 
-    Returns (direction, row, col, flat) arrays with one entry per cell:
-    the h rows, the w columns and the h + w - 1 lines of each diagonal
-    direction, in DIRECTIONS order. Lines are in row, column, row - col
-    and row + col order; diagonal lines are walked by row. Every line is
-    followed by one off-raster cell, whose flat index is -1.
+    The h rows, w columns and h + w - 1 lines of each diagonal direction
+    lie end to end in DIRECTIONS order, in row, column, row - col and
+    row + col order (diagonals walked by row), each followed by one
+    off-raster cell. windows holds ((r0, r1), (c0, c1)) pairs, ends
+    inclusive. Returns the flat raster index of each line cell (-1 off
+    the raster), the line positions of the cells inside each window,
+    window-major, the segment starts among them and the starts of each
+    (window, direction) group of segments.
     """
     line, pos = np.ogrid[:h + w - 1, :max(h, w) + 1]
     row = np.stack(np.broadcast_arrays(line, pos, pos, pos))
     col = np.stack(np.broadcast_arrays(pos, line, pos + w - 1 - line, line - pos))
     on = (row < h) & (col >= 0) & (col < w)
     keep = on | np.pad(on[..., :-1], ((0, 0), (0, 0), (1, 0)))  # a line's cells, then one more
-    direction = np.broadcast_to(np.arange(4)[:, None, None], on.shape)
-    return tuple(a[keep] for a in (direction, row, col, np.where(on, row * w + col, -1)))
-
-
-def _run_lengths(ink: np.ndarray, flat: np.ndarray) -> np.ndarray:
-    """Length of the ink run holding each scan-line cell, 0 off ink."""
-    cells = np.append(ink.ravel(), False)[flat]
-    # Lines end blank, so no run crosses a line end and edges alternate start, stop.
-    edges = np.flatnonzero(np.diff(cells, prepend=False))
-    length = edges[1::2] - edges[::2]
-    runs = np.zeros(cells.shape, dtype=flat.dtype)
-    runs[cells] = np.repeat(length, length)
-    return runs
-
-
-def _build_region_tables() -> tuple[np.ndarray, ...]:
-    """32x32 scan-line flat indices; cells, starts and groups of the region segments."""
-    direction, row, col, flat = _scan_lines(GRID, GRID)
-    top = np.array([0, 8, 16])[:, None]
-    in_rows = (top <= row) & (row < top + _HALF)
-    in_cols = (top <= col) & (col < top + _HALF)
+    direction = np.broadcast_to(np.arange(4)[:, None, None], on.shape)[keep]
+    row, col, flat = row[keep], col[keep], np.where(on, row * w + col, -1)[keep]
+    (r0, r1), (c0, c1) = np.array(windows).transpose(1, 2, 0)[..., None]
+    inside = (r0 <= row) & (row <= r1) & (c0 <= col) & (col <= c1)
     # Line ends lie off the raster, so consecutive inside cells share a line.
-    index = np.flatnonzero(in_rows[:, None] & in_cols[None])
-    region, cells = np.divmod(index, flat.size)
+    index = np.flatnonzero(inside)
+    window, cells = np.divmod(index, flat.size)
     seg = np.flatnonzero(np.diff(index, prepend=-2) != 1)
-    group = np.flatnonzero(np.diff(4 * region[seg] + direction[cells[seg]], prepend=-1))
+    group = np.flatnonzero(np.diff(4 * window[seg] + direction[cells[seg]], prepend=-1))
     return flat, cells, seg, group
 
 
-_LINE_FLAT, _SEGMENT_CELLS, _SEGMENT_STARTS, _GROUP_STARTS = _build_region_tables()
+def _line_maxima(ink: np.ndarray, flat: np.ndarray, cells: np.ndarray,
+                 seg_starts: np.ndarray) -> np.ndarray:
+    """Longest ink run touching each segment, runs traced along whole lines."""
+    line = np.append(ink.ravel(), False)[flat]
+    # Lines end blank, so no run crosses a line end and edges alternate start, stop.
+    edges = np.flatnonzero(np.diff(line, prepend=False))
+    length = edges[1::2] - edges[::2]
+    runs = np.zeros(line.shape, dtype=flat.dtype)
+    runs[line] = np.repeat(length, length)
+    return np.maximum.reduceat(runs[cells], seg_starts)
+
+
+_LINE_FLAT, _SEGMENT_CELLS, _SEGMENT_STARTS, _GROUP_STARTS = _line_segments(
+    GRID, GRID, [((r, r + _HALF - 1), (c, c + _HALF - 1)) for r in (0, 8, 16) for c in (0, 8, 16)])
 
 
 def _check_canonical(img: np.ndarray) -> np.ndarray:
@@ -219,12 +221,9 @@ def longest_runs_by_line(img: np.ndarray, rows: tuple[int, int],
         raise ValueError(f"window {rows}x{cols} outside a {h}x{w} raster")
     if direction not in DIRECTIONS:
         raise ValueError(f"unknown direction {direction!r}")
-    dirs, row, col, flat = _scan_lines(h, w)
-    inside = dirs == DIRECTIONS.index(direction)
-    inside &= (r0 <= row) & (row <= r1) & (c0 <= col) & (col <= c1)
-    starts = np.flatnonzero(np.append(True, flat[:-1] == -1))  # line starts
-    best = np.maximum.reduceat(np.where(inside, _run_lengths(img != 0, flat), 0), starts)
-    return best[np.logical_or.reduceat(inside, starts)].tolist()
+    flat, cells, seg, group = _line_segments(h, w, [(rows, cols)])
+    best = _line_maxima(img != 0, flat, cells, seg)
+    return np.split(best, group[1:])[DIRECTIONS.index(direction)].tolist()
 
 
 def longest_run_features(img: np.ndarray) -> np.ndarray:
@@ -234,8 +233,7 @@ def longest_run_features(img: np.ndarray) -> np.ndarray:
     in row-major order; directions follow DIRECTIONS. Each sum is
     divided by 1024.
     """
-    runs = _run_lengths(_check_canonical(img), _LINE_FLAT)
-    best = np.maximum.reduceat(runs[_SEGMENT_CELLS], _SEGMENT_STARTS)
+    best = _line_maxima(_check_canonical(img), _LINE_FLAT, _SEGMENT_CELLS, _SEGMENT_STARTS)
     return np.add.reduceat(best, _GROUP_STARTS) / (GRID * GRID)
 
 
@@ -264,18 +262,6 @@ def write_features_csv(path: str | Path, labels, vectors) -> None:
             writer.writerow([int(label)] + [repr(float(v)) for v in vec])
 
 
-def _csv_records(fh, path):
-    """(first line, record) pairs of csv.reader over fh; csv.Error becomes ValueError."""
-    reader = csv.reader(fh)
-    start = 1
-    try:
-        for rec in reader:
-            yield start, rec
-            start = reader.line_num + 1
-    except csv.Error as exc:
-        raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
-
-
 def read_features_csv(path: str | Path, with_lines: bool = False) -> tuple:
     """Read a feature CSV back into (labels, vectors); any bad field is a ValueError.
 
@@ -283,24 +269,29 @@ def read_features_csv(path: str | Path, with_lines: bool = False) -> tuple:
     """
     lines, labels, vectors = [], [], []
     with open(path, newline="") as fh:
-        records = _csv_records(fh, path)
-        if next(records, (1, None))[1] != CSV_HEADER:
-            raise ValueError(f"{path}: bad or missing feature CSV header")
-        for lineno, rec in records:
-            if len(rec) != FEATURE_COUNT + 1:
-                raise ValueError(f"{path}:{lineno}: expected {FEATURE_COUNT + 1} columns")
-            try:
-                label, vector = int(rec[0]), np.array([float(v) for v in rec[1:]])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            if not 0 <= label <= 9:
-                raise ValueError(f"{path}:{lineno}: label {label} outside 0..9")
-            if not np.isfinite(vector).all():
-                raise ValueError(f"{path}:{lineno}: non-finite feature value")
-            # Larger values would overflow the sums of a training step.
-            if (np.abs(vector) > 1e6).any():
-                raise ValueError(f"{path}:{lineno}: feature value outside [-1e6, 1e6]")
-            lines.append(lineno)
-            labels.append(label)
-            vectors.append(vector)
+        reader = csv.reader(fh)
+        try:
+            if next(reader, None) != CSV_HEADER:
+                raise ValueError(f"{path}: bad or missing feature CSV header")
+            end = reader.line_num  # last physical line read so far
+            for rec in reader:
+                lineno, end = end + 1, reader.line_num
+                if len(rec) != FEATURE_COUNT + 1:
+                    raise ValueError(f"{path}:{lineno}: expected {FEATURE_COUNT + 1} columns")
+                try:
+                    label, vector = int(rec[0]), np.array([float(v) for v in rec[1:]])
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
+                if not 0 <= label <= 9:
+                    raise ValueError(f"{path}:{lineno}: label {label} outside 0..9")
+                if not np.isfinite(vector).all():
+                    raise ValueError(f"{path}:{lineno}: non-finite feature value")
+                # Larger values would overflow the sums of a training step.
+                if (np.abs(vector) > 1e6).any():
+                    raise ValueError(f"{path}:{lineno}: feature value outside [-1e6, 1e6]")
+                lines.append(lineno)
+                labels.append(label)
+                vectors.append(vector)
+        except csv.Error as exc:
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     return (lines, labels, vectors) if with_lines else (labels, vectors)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from digitrec.cli import _load_dataset, main, parse_sizes, parse_threshold, UsageError
 from digitrec.evaluation import toy_glyph
 from digitrec.features import CSV_HEADER, read_features_csv
-from digitrec.mlp import load_model, save_model
+from digitrec.mlp import load_model, random_model, save_model
 from digitrec.pgm import write_pgm
 
 
@@ -92,16 +92,27 @@ def test_extract_skips_blank_images(corpus, tmp_path, capsys):
     root = tmp_path / "corpus"
     write_corpus(root, labels=[0, 1], copies=2)
     write_pgm(root / "0" / "blank.pgm", np.full((32, 32), 255, dtype=np.uint8))
+    (root / "1" / "notes.txt").write_text("not a scan")  # only .pgm files are read
     out = tmp_path / "features.csv"
     assert main(["extract", str(root), str(out)]) == 0
     labels, _ = read_features_csv(out)
     assert len(labels) == 4
-    assert "skipped" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "skipped" in err and "notes.txt" not in err
 
 
 def test_extract_missing_root_fails(tmp_path, capsys):
-    assert main(["extract", str(tmp_path / "nope"), str(tmp_path / "o.csv")]) == 2
-    assert "digitrec:" in capsys.readouterr().err
+    # So do a root without class directories and a corpus of blank scans.
+    (tmp_path / "empty").mkdir()
+    (tmp_path / "blank" / "4").mkdir(parents=True)
+    write_pgm(tmp_path / "blank" / "4" / "b.pgm", np.full((32, 32), 255, dtype=np.uint8))
+    for root, message in (("nope", "is not a directory"), ("empty", "no class directories"),
+                          ("blank", "no readable PGM samples")):
+        assert main(["extract", str(tmp_path / root), str(tmp_path / "o.csv")]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("digitrec:")]
+        assert len(errors) == 1 and message in errors[0]
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_extract_reports_the_broken_file(tmp_path, capsys):
@@ -176,6 +187,16 @@ def test_train_rejects_single_class(tmp_path, capsys):
     assert main(["train", str(root), "--model-out",
                  str(tmp_path / "m.mlp")]) == 2
     assert "two distinct classes" in capsys.readouterr().err
+
+
+def test_train_rejects_missing_or_empty_data(feature_csv, tmp_path, capsys):
+    header_only = tmp_path / "header.csv"
+    header_only.write_text(feature_csv.read_text().splitlines()[0] + "\n")
+    for data, message in ((tmp_path / "nope.csv", "no such file or directory"),
+                          (header_only, "no samples")):
+        assert main(["train", str(data), "--model-out", str(tmp_path / "m.mlp")]) == 2
+        assert capsys.readouterr().err == f"digitrec: {data}: {message}\n"
+    assert not (tmp_path / "m.mlp").exists()
 
 
 def test_train_rejects_bad_hyperparameters(feature_csv, tmp_path):
@@ -274,29 +295,39 @@ def mutate(text, edits, separators=r"([,\n])"):
     return text[:0].join(tokens)
 
 
+@pytest.mark.parametrize("command", ["train", "crossval"])
 @settings(deadline=None, max_examples=150)
 @given(_CSV_EDITS)
 @example([("flip", 200, "9" * 200_000)])
-def test_train_on_a_mutated_csv_exits_cleanly(feature_csv, tmp_path_factory, edits):
-    # Every damaged feature CSV either trains or is one data-error line.
+def test_train_on_a_mutated_csv_exits_cleanly(feature_csv, tmp_path_factory, command, edits):
+    # Every damaged feature CSV either trains (or cross-validates) or is one
+    # data-error line that leaves the old output file as it was.
     # (Token 200 of the @example is a field of the first data row.)
     work = tmp_path_factory.mktemp("mutated")
     data = work / "features.csv"
     data.write_text(mutate(feature_csv.read_text(), edits), encoding="utf-8")
-    out = work / "m.mlp"
+    if command == "train":
+        out = work / "m.mlp"
+        flags = ["--model-out", str(out)]
+    else:
+        out = work / "report.csv"
+        flags = ["--report-out", str(out), "--folds", "2"]
+    out.write_bytes(b"old\n")
+    confusion = work / "report.confusion.txt"
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-        code = main(["train", str(data), "--model-out", str(out),
-                     "--epochs", "1", "--hidden", "3"])
+        code = main([command, str(data), *flags, "--epochs", "1", "--hidden", "3"])
     lines = err.getvalue().splitlines()
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert len(lines) == 1 and lines[0].startswith("digitrec: ")
-        assert not out.exists()
+        assert out.read_bytes() == b"old\n"
+        assert not confusion.exists()
     else:
         assert code == 0, lines
         assert not any(line.startswith("digitrec:") for line in lines)
-        assert out.exists()
+        assert out.read_bytes() != b"old\n"
+        assert confusion.exists() == (command == "crossval")
     assert not list(work.glob(".*.tmp"))
 
 
@@ -397,6 +428,22 @@ def test_predict_rejects_damaged_model(trained_model, tmp_path, capsys):
     assert main(["predict", str(stub), str(image)]) == 2
     assert main(["predict", str(trained_model), str(tmp_path / "no.pgm")]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("sizes", [[76, 5, 12], [76, 5, 9], [76, 5, 4, 10]])
+def test_predict_needs_ten_outputs(tmp_path, capsys, sizes):
+    model = tmp_path / "m.mlp"
+    save_model(model, random_model(sizes, 1))
+    image = tmp_path / "sample.pgm"
+    write_pgm(image, glyph_pgm(1))
+    code = main(["predict", str(model), str(image)])
+    out = capsys.readouterr()
+    if sizes[-1] == 10:
+        assert code == 0 and len(out.out.splitlines()[1].split()) == 10
+    else:
+        assert code == 2 and out.out == ""
+        assert out.err.splitlines() == [
+            f"digitrec: {model}: model has {sizes[-1]} outputs, expected 10"]
 
 
 @pytest.mark.parametrize("layer, cells, value", [(0, (0, 0), np.nan), (1, ..., np.inf)])

@@ -376,6 +376,8 @@ def test_runs_by_line_rejects_bad_arguments():
         longest_runs_by_line(img, (0, 15), (0, 40), "row")
     with pytest.raises(ValueError):
         longest_runs_by_line(img, (0, 15), (0, 15), "spiral")
+    with pytest.raises(ValueError, match="2-D"):
+        longest_runs_by_line(img[None], (0, 15), (0, 15), "row")
 
 
 # ---------------------------------------------------------------------------
@@ -537,5 +539,7 @@ def test_write_features_csv_keeps_the_old_file_on_failure(tmp_path):
     before = out.read_bytes()
     with pytest.raises(ValueError):
         write_features_csv(out, [0, 1], [np.zeros(FEATURE_COUNT), np.zeros(5)])
+    with pytest.raises(ValueError, match="differ in length"):
+        write_features_csv(out, [0, 1, 2], [np.zeros(FEATURE_COUNT)] * 2)
     assert out.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["features.csv"]

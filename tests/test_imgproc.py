@@ -55,6 +55,11 @@ def test_binarize_rejects_bad_threshold():
         binarize(np.zeros((2, 2), dtype=np.uint8), 256)
 
 
+def test_binarize_rejects_a_non_2d_image():
+    with pytest.raises(ValueError, match="2-D"):
+        binarize(np.zeros(4, dtype=np.uint8), 128)
+
+
 def test_bounding_box_single_pixel():
     img = np.zeros((10, 10), dtype=np.uint8)
     img[3, 7] = 1

@@ -66,6 +66,13 @@ def test_low_maxval_scan_is_not_all_ink(tmp_path):
     assert 0 < raster.mean() < 1
 
 
+def test_write_rejects_a_non_2d_image(tmp_path):
+    path = tmp_path / "img.pgm"
+    with pytest.raises(PgmError, match="2-D"):
+        write_pgm(path, np.zeros((2, 2, 3), dtype=np.uint8))
+    assert not path.exists()
+
+
 def test_bad_magic(tmp_path):
     path = tmp_path / "img.pgm"
     path.write_text("P6\n1 1\n255\n0\n")
