@@ -177,8 +177,9 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     model = mlp.load_model(args.model)
-    if model.output_size != 10:
-        raise DataError(f"{args.model}: model has {model.output_size} outputs, expected 10")
+    if model.output_size != mlp.OUTPUT_SIZE:
+        raise DataError(f"{args.model}: model has {model.output_size} outputs, "
+                        f"expected {mlp.OUTPUT_SIZE}")
     threshold = parse_threshold(args.threshold)
     try:
         vec = _image_to_features(Path(args.image), threshold, args.invert)
