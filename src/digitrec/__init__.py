@@ -5,7 +5,7 @@ Scanned digits are normalized to 32x32 binary rasters, summarized as
 sigmoid network trained with online backpropagation and momentum.
 """
 
-from .evaluation import (Dataset, EvaluationReport, FoldPlan, confusion_matrix,
+from .evaluation import (Dataset, EvaluationReport, confusion_matrix,
                          cross_validate, make_folds, make_toy_dataset,
                          sweep_hidden, toy_glyph)
 from .features import (FEATURE_COUNT, centroid_features, extract_features,
@@ -21,7 +21,7 @@ from .pgm import PgmError, read_pgm, write_pgm
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundingBox", "Dataset", "EvaluationReport", "FEATURE_COUNT", "FoldPlan",
+    "BoundingBox", "Dataset", "EvaluationReport", "FEATURE_COUNT",
     "LabeledSample", "MlpModel", "NoForegroundError", "PgmError",
     "TrainingConfig", "__version__", "bilinear_resize", "binarize",
     "centroid_features", "confusion_matrix", "cross_validate",

@@ -166,8 +166,11 @@ def cmd_train(args) -> int:
     model = mlp.init_model(config)
     model, history = mlp.train(model, data.samples, config)
     mlp.save_model(args.model_out, model)
-    sse = sum(mlp.sample_error(model, s) for s in data.samples)
-    hits = sum(mlp.predict(model, s.features) == s.label for s in data.samples)
+    labels = np.array(data.labels())
+    outputs = mlp.forward(model, np.array([s.features for s in data.samples]))
+    # Left to right over the rows, as summing sample_error would give.
+    sse = sum(mlp._error(outputs, np.eye(model.output_size)[labels])[1].tolist())
+    hits = int((outputs.argmax(axis=1) == labels).sum())
     print(f"epochs {len(history)}", file=sys.stderr)
     print(f"sse {sse:.6f}")
     print(f"accuracy {evaluation.format_accuracy(100.0 * hits / len(data))}")

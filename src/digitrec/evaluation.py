@@ -17,8 +17,8 @@ import numpy as np
 from ._atomic import atomic_open
 from .features import extract_features
 from .imgproc import GRID
-from .mlp import (OUTPUT_SIZE, LabeledSample, TrainingConfig, init_model,
-                  predict, train)
+from .mlp import (OUTPUT_SIZE, LabeledSample, TrainingConfig, forward,
+                  init_model, train)
 
 
 class TooFewSamplesError(ValueError):
@@ -51,18 +51,6 @@ class Dataset:
 
 
 @dataclass
-class FoldPlan:
-    fold_count: int
-    assignments: np.ndarray  # fold index per sample
-
-    def test_indices(self, fold: int) -> np.ndarray:
-        return np.flatnonzero(self.assignments == fold)
-
-    def train_indices(self, fold: int) -> np.ndarray:
-        return np.flatnonzero(self.assignments != fold)
-
-
-@dataclass
 class EvaluationReport:
     fold_count: int
     per_fold_accuracy: list[float]
@@ -77,8 +65,8 @@ class EvaluationReport:
 Trainer = Callable[[list[LabeledSample], TrainingConfig], Callable[[LabeledSample], int]]
 
 
-def make_folds(data: Dataset, k: int, seed: int) -> FoldPlan:
-    """Stratified fold assignment.
+def make_folds(data: Dataset, k: int, seed: int) -> np.ndarray:
+    """Stratified fold assignment: the int64 fold index of each sample.
 
     Each class is shuffled with its own slice of a seeded PCG64 stream
     and dealt round-robin, so per-class fold counts differ by at most
@@ -97,22 +85,24 @@ def make_folds(data: Dataset, k: int, seed: int) -> FoldPlan:
                 f"class {label} has {idx.size} samples, fewer than {k} folds")
         idx = rng.permutation(idx)
         assignments[idx] = np.arange(idx.size) % k
-    return FoldPlan(k, assignments)
+    return assignments
 
 
 def confusion_matrix(truths, preds) -> np.ndarray:
-    """10x10 count matrix, rows true label, columns predicted."""
-    truths = list(truths)
-    preds = list(preds)
-    if len(truths) != len(preds):
-        raise LengthMismatchError(
-            f"{len(truths)} truths vs {len(preds)} predictions")
-    mat = np.zeros((OUTPUT_SIZE, OUTPUT_SIZE), dtype=np.int64)
-    for t, p in zip(truths, preds):
-        if not (0 <= t < OUTPUT_SIZE and 0 <= p < OUTPUT_SIZE):
-            raise LabelOutOfRangeError(f"label pair ({t}, {p}) outside 0..9")
-        mat[t, p] += 1
-    return mat
+    """10x10 count matrix, rows true label, columns predicted, from int labels in 0..9."""
+    truths, preds = np.asarray(truths), np.asarray(preds)
+    if truths.ndim != 1 or truths.shape != preds.shape:
+        raise LengthMismatchError(f"{truths.shape} truths vs {preds.shape} predictions")
+    if truths.size and {truths.dtype.kind, preds.dtype.kind} - set("iu"):
+        # A float label would otherwise be truncated into a cell.
+        raise TypeError(f"labels must be integers, got {truths.dtype} and {preds.dtype}")
+    pairs = np.stack([truths, preds]).astype(np.int64)
+    bad = ((pairs < 0) | (pairs >= OUTPUT_SIZE)).any(axis=0)
+    if bad.any():
+        t, p = pairs[:, bad.argmax()].tolist()
+        raise LabelOutOfRangeError(f"label pair ({t}, {p}) outside 0..9")
+    cells = np.bincount(pairs[0] * OUTPUT_SIZE + pairs[1], minlength=OUTPUT_SIZE ** 2)
+    return cells.reshape(OUTPUT_SIZE, OUTPUT_SIZE)
 
 
 def cross_validate(data: Dataset, config: TrainingConfig, k: int = 3,
@@ -122,24 +112,27 @@ def cross_validate(data: Dataset, config: TrainingConfig, k: int = 3,
     Fold i trains on the other folds with seed config.seed + i, so
     every fold's run is independently reproducible. Without a trainer,
     one train call runs the k backprop runs in lockstep, each to the
-    model it would reach alone; an injected trainer is called once per
-    fold, just before that fold is scored. The confusion matrix pools
-    the test predictions of all folds.
+    model it would reach alone, and each fold's test rows are scored in
+    one forward pass; an injected trainer is called once per fold, just
+    before its classifier scores that fold one sample at a time. The
+    confusion matrix pools the test predictions of all folds.
     """
-    plan = make_folds(data, k, config.seed)
+    folds = make_folds(data, k, config.seed)
     configs = [replace(config, seed=config.seed + fold) for fold in range(k)]
-    train_sets = [[data.samples[i] for i in plan.train_indices(fold)] for fold in range(k)]
+    train_sets = [[data.samples[i] for i in np.flatnonzero(folds != fold)] for fold in range(k)]
     if trainer is None:
         models, _ = train([init_model(c) for c in configs], train_sets, config)
-        classifiers = [lambda s, model=model: predict(model, s.features) for model in models]
-    else:
-        classifiers = (trainer(samples, c) for samples, c in zip(train_sets, configs))
     per_fold = []
     confusion = np.zeros((OUTPUT_SIZE, OUTPUT_SIZE), dtype=np.int64)
-    for fold, classify in enumerate(classifiers):
-        test_samples = [data.samples[i] for i in plan.test_indices(fold)]
-        fold_confusion = confusion_matrix([s.label for s in test_samples],
-                                          [classify(s) for s in test_samples])
+    for fold in range(k):
+        test_samples = [data.samples[i] for i in np.flatnonzero(folds == fold)]
+        if trainer is None:
+            rows = np.array([s.features for s in test_samples])
+            preds = forward(models[fold], rows).argmax(axis=1)
+        else:
+            classify = trainer(train_sets[fold], configs[fold])
+            preds = [classify(s) for s in test_samples]
+        fold_confusion = confusion_matrix([s.label for s in test_samples], preds)
         per_fold.append(100.0 * int(np.trace(fold_confusion)) / len(test_samples))
         confusion += fold_confusion
     mean = sum(per_fold) / k

@@ -259,7 +259,7 @@ def write_features_csv(path: str | Path, labels, vectors) -> None:
             vec = np.asarray(vec, dtype=np.float64)
             if vec.shape != (FEATURE_COUNT,):
                 raise ValueError(f"expected {FEATURE_COUNT} features, got {vec.shape}")
-            writer.writerow([int(label)] + [repr(float(v)) for v in vec])
+            writer.writerow([int(label), *map(repr, vec.tolist())])
 
 
 def read_features_csv(path: str | Path, with_lines: bool = False) -> tuple:

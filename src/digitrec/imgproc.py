@@ -122,4 +122,4 @@ def normalize_image(gray: np.ndarray, threshold: int | None = DEFAULT_THRESHOLD,
     t = otsu_threshold(gray) if threshold is None else threshold
     box = minimal_bounding_box(binarize(gray, t, invert))
     crop = gray[box.row_min:box.row_max + 1, box.col_min:box.col_max + 1]
-    return binarize(bilinear_resize(crop.astype(np.float64), GRID, GRID), t, invert)
+    return binarize(bilinear_resize(crop, GRID, GRID), t, invert)

@@ -143,13 +143,14 @@ def init_model(config: TrainingConfig) -> MlpModel:
 
 
 def _biased_input(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """x as float64 with the bias input 1 appended, once its shape is checked."""
+    """x (one vector or a matrix of rows) as float64 with a bias input 1 appended, once checked."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.input_size,):
+    if x.ndim not in (1, 2) or x.shape[-1] != model.input_size:
         raise DimensionMismatchError(
-            f"feature vector of shape {x.shape} does not fit input size "
-            f"{model.input_size}")
-    return np.concatenate([x, [1.0]])
+            f"features of shape {x.shape} do not fit input size {model.input_size}")
+    biased = np.ones(x.shape[:-1] + (model.input_size + 1,))
+    biased[..., :-1] = x
+    return biased
 
 
 def _layer_inputs(weights: list[np.ndarray],
@@ -163,12 +164,14 @@ def _layer_inputs(weights: list[np.ndarray],
 
 
 def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """Output activations for one feature vector."""
+    """Output activations for one feature vector, or one row of them per row of x."""
     return _layer_inputs(model.weights, _biased_input(model, x))[1]
 
 
 def predict(model: MlpModel, x: np.ndarray) -> int:
-    """Label of the strongest output; ties go to the lowest label."""
+    """Label of the strongest output for one vector; ties go to the lowest label."""
+    if np.ndim(x) != 1:
+        raise DimensionMismatchError(f"predict takes one feature vector, not shape {np.shape(x)}")
     return int(np.argmax(forward(model, x)))
 
 

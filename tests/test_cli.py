@@ -9,9 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from digitrec.cli import _load_dataset, main, parse_sizes, parse_threshold, UsageError
-from digitrec.evaluation import toy_glyph
-from digitrec.features import CSV_HEADER, read_features_csv
-from digitrec.mlp import load_model, random_model, save_model
+from digitrec.evaluation import format_accuracy, make_toy_dataset, toy_glyph
+from digitrec.features import CSV_HEADER, read_features_csv, write_features_csv
+from digitrec.mlp import load_model, predict, random_model, sample_error, save_model
 from digitrec.pgm import write_pgm
 
 
@@ -157,6 +157,23 @@ def test_train_writes_a_loadable_model(feature_csv, tmp_path, capsys):
     assert out[1].startswith("accuracy ")
     model = load_model(model_path)
     assert model.layer_sizes == [76, 8, 10]
+
+
+def test_train_prints_the_per_sample_sse_and_accuracy(tmp_path, capsys):
+    # train scores its rows in one forward pass; it must print what
+    # sample_error and predict give one sample at a time.
+    data = make_toy_dataset(per_class=6, noise=0.15, seed=12)
+    csv = tmp_path / "toy.csv"
+    write_features_csv(csv, data.labels(), [s.features for s in data.samples])
+    model_path = tmp_path / "m.mlp"
+    assert main(["train", str(csv), "--model-out", str(model_path),
+                 "--hidden", "5", "--epochs", "3", "--seed", "3"]) == 0
+    model = load_model(model_path)
+    sse = sum(sample_error(model, s) for s in data.samples)
+    hits = sum(predict(model, s.features) == s.label for s in data.samples)
+    assert 0 < hits < len(data)
+    accuracy = format_accuracy(100.0 * hits / len(data))
+    assert capsys.readouterr().out == f"sse {sse:.6f}\naccuracy {accuracy}\n"
 
 
 def test_train_is_reproducible_per_seed(feature_csv, tmp_path):

@@ -37,17 +37,17 @@ def small_config(**overrides):
 
 def test_folds_partition_and_stratify():
     data = tiny_dataset(per_class=5)
-    plan = make_folds(data, 3, seed=1)
-    assert plan.fold_count == 3
-    assert (plan.assignments >= 0).all() and (plan.assignments < 3).all()
+    folds = make_folds(data, 3, seed=1)
+    assert folds.dtype == np.int64 and folds.shape == (len(data),)
+    assert (folds >= 0).all() and (folds < 3).all()
     labels = np.array(data.labels())
     for label in range(10):
-        counts = np.bincount(plan.assignments[labels == label], minlength=3)
+        counts = np.bincount(folds[labels == label], minlength=3)
         assert counts.max() - counts.min() <= 1
         assert counts.sum() == 5
     for fold in range(3):
-        test = set(plan.test_indices(fold).tolist())
-        training = set(plan.train_indices(fold).tolist())
+        test = set(np.flatnonzero(folds == fold).tolist())
+        training = set(np.flatnonzero(folds != fold).tolist())
         assert not test & training
         assert test | training == set(range(len(data)))
 
@@ -57,10 +57,10 @@ def test_folds_handle_uneven_classes():
     samples = [LabeledSample(rng.random(4), 0) for _ in range(7)]
     samples += [LabeledSample(rng.random(4), 1) for _ in range(5)]
     data = Dataset(samples, [str(i) for i in range(12)])
-    plan = make_folds(data, 3, seed=5)
+    folds = make_folds(data, 3, seed=5)
     labels = np.array(data.labels())
     for label, total in ((0, 7), (1, 5)):
-        counts = np.bincount(plan.assignments[labels == label], minlength=3)
+        counts = np.bincount(folds[labels == label], minlength=3)
         assert counts.sum() == total and counts.max() - counts.min() <= 1
 
 
@@ -68,9 +68,9 @@ def test_folds_are_seed_deterministic():
     data = tiny_dataset()
     a = make_folds(data, 4, seed=9)
     b = make_folds(data, 4, seed=9)
-    np.testing.assert_array_equal(a.assignments, b.assignments)
+    np.testing.assert_array_equal(a, b)
     c = make_folds(data, 4, seed=10)
-    assert (a.assignments != c.assignments).any()
+    assert (a != c).any()
 
 
 def test_folds_reject_small_classes_and_bad_k():
@@ -95,6 +95,30 @@ def test_confusion_rejects_bad_input():
         confusion_matrix([1, 2], [1])
     with pytest.raises(LabelOutOfRangeError):
         confusion_matrix([10], [0])
+    with pytest.raises(LabelOutOfRangeError, match=r"\(2, -1\)"):
+        confusion_matrix(np.array([1, 2, 3]), np.array([1, -1, 3]))
+
+
+def test_confusion_of_nothing_is_the_zero_matrix():
+    for empty in ([], np.array([], dtype=np.int64)):
+        mat = confusion_matrix(empty, empty)
+        assert mat.shape == (10, 10) and mat.dtype == np.int64 and not mat.any()
+
+
+def test_confusion_takes_numpy_int_arrays():
+    truths = np.array([0, 4, 4, 9], dtype=np.int32)
+    preds = np.array([0, 4, 7, 9], dtype=np.uint8)
+    assert (confusion_matrix(truths, preds)
+            == confusion_matrix(truths.tolist(), preds.tolist())).all()
+    assert confusion_matrix(truths, preds)[4, 7] == 1
+
+
+def test_confusion_never_truncates_a_float_label():
+    # 3.7 must not be counted in row 3 (nor 2.0 in row 2).
+    for truths, preds in (([3.7], [3]), ([3], [3.7]), ([2.0, 1], [2, 1]),
+                          (np.array([1.5]), np.array([1]))):
+        with pytest.raises(TypeError):
+            confusion_matrix(truths, preds)
 
 
 def test_confusion_rendering_roundtrips():

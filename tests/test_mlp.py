@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from digitrec.evaluation import make_folds, make_toy_dataset
@@ -13,7 +13,7 @@ from digitrec.mlp import (INPUT_SIZE, OUTPUT_SIZE, BadMagicError,
                           LabeledSample, MlpModel, ModelFormatError,
                           ShapeMismatchError,
                           TrainingConfig, TruncatedStreamError,
-                          VersionMismatchError, forward,
+                          VersionMismatchError, _error, forward,
                           gradient, init_model,
                           load_model, predict, random_model, sample_error,
                           save_model, sigmoid, train)
@@ -122,6 +122,39 @@ def test_forward_rejects_wrong_input_size():
     model = random_model([4, 3, 10], seed=5)
     with pytest.raises(DimensionMismatchError):
         forward(model, np.zeros(5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sizes=st.lists(st.integers(1, 12), min_size=2, max_size=5),
+       n=st.integers(0, 9), seed=st.integers(0, 2**32 - 1))
+@example(sizes=[76, 7, 5, 10], n=0, seed=1)
+@example(sizes=[76, 7, 5, 10], n=40, seed=2)
+@example(sizes=[76, 65, 10], n=300, seed=3)
+def test_forward_on_rows_equals_one_call_per_row(sizes, n, seed):
+    model = random_model(sizes, seed)
+    x = np.random.Generator(np.random.PCG64(seed)).uniform(-3, 3, (n, sizes[0]))
+    want = np.array([forward(model, row) for row in x]).reshape(n, sizes[-1])
+    assert np.array_equal(forward(model, x), want)
+
+
+def test_batched_error_rows_equal_sample_error():
+    # train's summary sums these rows; each must be sample_error to the bit.
+    data = make_toy_dataset(4, 0.1, 8).samples
+    model = random_model([76, 9, 10], seed=8)
+    out = forward(model, np.array([s.features for s in data]))
+    errors = _error(out, np.eye(10)[[s.label for s in data]])[1]
+    assert errors.tolist() == [sample_error(model, s) for s in data]
+
+
+def test_forward_and_predict_reject_other_shapes():
+    model = random_model([4, 3, 10], seed=5)
+    for bad in (np.zeros((2, 3, 4)), np.zeros((3, 5)), np.zeros((0, 3)), np.float64(1.0)):
+        with pytest.raises(DimensionMismatchError):
+            forward(model, bad)
+    # A batch has no single label; argmax over it flattened would be nonsense.
+    for bad in (np.zeros((2, 4)), np.zeros((1, 4)), np.zeros((2, 3, 4))):
+        with pytest.raises(DimensionMismatchError):
+            predict(model, bad)
 
 
 def test_sample_error_zero_weights():
@@ -491,8 +524,8 @@ def test_lockstep_runs_match_the_oracle_run_alone(tmp_path):
     data = make_toy_dataset(20, 0.05, 3)
     config = TrainingConfig(hidden_size=20, max_epochs=300, patience=3,
                             stop_tolerance=0.05, seed=5)
-    plan = make_folds(data, 3, config.seed)
-    folds = [[data.samples[i] for i in plan.train_indices(f)] for f in range(3)]
+    assignments = make_folds(data, 3, config.seed)
+    folds = [[data.samples[i] for i in np.flatnonzero(assignments != f)] for f in range(3)]
     seeds = [5, 6, 7]  # train gives run r the seed config.seed + r
     models, histories = train([init_model(replace(config, seed=s)) for s in seeds], folds, config)
     assert [len(fold) for fold in folds] == [130, 130, 140]
