@@ -92,12 +92,12 @@ def load_corpus(root: str | Path, threshold: int | None,
                   if d.is_dir() and d.name.isdigit() and len(d.name) == 1]
     if not class_dirs:
         raise DataError(f"no class directories 0..9 under {root}")
-    samples: list[mlp.LabeledSample] = []
+    rows: list[np.ndarray] = []
+    labels: list[int] = []
     provenance: list[str] = []
     skipped: list[str] = []
     for class_dir in class_dirs:
         label = int(class_dir.name)
-        count = 0
         for path in sorted(class_dir.iterdir()):
             if not path.is_file() or path.suffix.lower() != ".pgm":
                 continue
@@ -109,13 +109,13 @@ def load_corpus(root: str | Path, threshold: int | None,
                 continue
             except (pgm.PgmError, OSError) as exc:
                 raise DataError(f"{path}: {exc}") from exc
-            samples.append(mlp.LabeledSample(vec, label))
+            rows.append(vec)
+            labels.append(label)
             provenance.append(str(path))
-            count += 1
-        print(f"class {label}: {count} samples", file=sys.stderr)
-    if not samples:
+        print(f"class {label}: {labels.count(label)} samples", file=sys.stderr)
+    if not rows:
         raise DataError(f"no readable PGM samples under {root}")
-    return evaluation.Dataset(samples, provenance), skipped
+    return evaluation.Dataset(np.array(rows), np.array(labels), provenance), skipped
 
 
 def _load_dataset(path_text: str, threshold: int | None,
@@ -130,11 +130,10 @@ def _load_dataset(path_text: str, threshold: int | None,
         lines, labels, vectors = features.read_features_csv(path, with_lines=True)
     except ValueError as exc:
         raise DataError(str(exc)) from exc
-    samples = [mlp.LabeledSample(v, l) for l, v in zip(labels, vectors)]
-    provenance = [f"{path}:{line}" for line in lines]
-    if not samples:
+    if not lines:
         raise DataError(f"{path}: no samples")
-    return evaluation.Dataset(samples, provenance)
+    return evaluation.Dataset(np.array(vectors), np.array(labels),
+                              [f"{path}:{line}" for line in lines])
 
 
 def _training_inputs(args) -> tuple[mlp.TrainingConfig, evaluation.Dataset]:
@@ -153,24 +152,21 @@ def _training_inputs(args) -> tuple[mlp.TrainingConfig, evaluation.Dataset]:
 
 def cmd_extract(args) -> int:
     data = load_corpus(args.data_dir, parse_threshold(args.threshold), args.invert)[0]
-    features.write_features_csv(
-        args.out, [s.label for s in data.samples], [s.features for s in data.samples])
+    features.write_features_csv(args.out, data.labels, data.features)
     print(f"wrote {len(data)} rows to {args.out}", file=sys.stderr)
     return 0
 
 
 def cmd_train(args) -> int:
     config, data = _training_inputs(args)
-    if len(set(data.labels())) < 2:
+    if len(set(data.labels.tolist())) < 2:
         raise DataError("training needs at least two distinct classes")
-    model = mlp.init_model(config)
-    model, history = mlp.train(model, data.samples, config)
+    model, history = mlp.train(mlp.init_model(config), data.features, data.labels, config)
     mlp.save_model(args.model_out, model)
-    labels = np.array(data.labels())
-    outputs = mlp.forward(model, np.array([s.features for s in data.samples]))
+    outputs = mlp.forward(model, data.features)
     # Left to right over the rows, as summing sample_error would give.
-    sse = sum(mlp._error(outputs, np.eye(model.output_size)[labels])[1].tolist())
-    hits = int((outputs.argmax(axis=1) == labels).sum())
+    sse = sum(mlp._error(outputs, mlp._targets(model, data.labels))[1].tolist())
+    hits = int((outputs.argmax(axis=1) == data.labels).sum())
     print(f"epochs {len(history)}", file=sys.stderr)
     print(f"sse {sse:.6f}")
     print(f"accuracy {evaluation.format_accuracy(100.0 * hits / len(data))}")

@@ -15,10 +15,9 @@ from typing import Callable
 import numpy as np
 
 from ._atomic import atomic_open
-from .features import extract_features
+from .features import FEATURE_COUNT, extract_features
 from .imgproc import GRID
-from .mlp import (OUTPUT_SIZE, LabeledSample, TrainingConfig, forward,
-                  init_model, train)
+from .mlp import OUTPUT_SIZE, TrainingConfig, forward, init_model, train
 
 
 class TooFewSamplesError(ValueError):
@@ -35,19 +34,30 @@ class LabelOutOfRangeError(ValueError):
 
 @dataclass
 class Dataset:
-    """Labeled feature vectors plus a per-sample source identifier."""
-    samples: list[LabeledSample]
+    """An (n, d) float64 features matrix, its (n,) int64 labels in 0..9
+    and n provenance strings naming each row's source; checked once, here.
+    """
+    features: np.ndarray
+    labels: np.ndarray
     provenance: list[str]
 
     def __post_init__(self):
-        if len(self.samples) != len(self.provenance):
-            raise ValueError("samples and provenance differ in length")
+        self.features = np.asarray(self.features, dtype=np.float64)
+        labels = np.asarray(self.labels)
+        if self.features.ndim != 2 or not (
+                labels.shape == (len(self.features),) == (len(self.provenance),)):
+            raise ValueError("need an (n, d) feature matrix, n labels and n provenance tags")
+        if labels.size and (labels.dtype.kind not in "iu"
+                            or not 0 <= labels.min() <= labels.max() < OUTPUT_SIZE):
+            raise ValueError(f"labels must be integers in 0..{OUTPUT_SIZE - 1}")
+        self.labels = labels.astype(np.int64)
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.labels)
 
-    def labels(self) -> list[int]:
-        return [s.label for s in self.samples]
+    def take(self, rows: np.ndarray) -> Dataset:
+        """The rows at the given indices, in that order."""
+        return Dataset(self.features[rows], self.labels[rows], [self.provenance[i] for i in rows])
 
 
 @dataclass
@@ -59,10 +69,10 @@ class EvaluationReport:
     config: TrainingConfig
 
 
-# A trainer consumes (training samples, fold config) and returns a
-# classifier for single samples. Injected in tests to decouple the
-# harness arithmetic from actual backprop runs.
-Trainer = Callable[[list[LabeledSample], TrainingConfig], Callable[[LabeledSample], int]]
+# A trainer consumes (a fold's training rows, fold config) and returns a
+# classifier mapping a Dataset of test rows to an int label array. Injected
+# in tests to decouple the harness arithmetic from actual backprop runs.
+Trainer = Callable[[Dataset, TrainingConfig], Callable[[Dataset], np.ndarray]]
 
 
 def make_folds(data: Dataset, k: int, seed: int) -> np.ndarray:
@@ -75,11 +85,10 @@ def make_folds(data: Dataset, k: int, seed: int) -> np.ndarray:
     """
     if k < 2:
         raise ValueError("need at least 2 folds")
-    labels = np.array(data.labels())
     rng = np.random.Generator(np.random.PCG64(seed))
     assignments = np.full(len(data), -1, dtype=np.int64)
-    for label in sorted(set(labels.tolist())):
-        idx = np.flatnonzero(labels == label)
+    for label in sorted(set(data.labels.tolist())):  # np.unique imports numpy.ma, ~2 MB
+        idx = np.flatnonzero(data.labels == label)
         if idx.size < k:
             raise TooFewSamplesError(
                 f"class {label} has {idx.size} samples, fewer than {k} folds")
@@ -114,26 +123,25 @@ def cross_validate(data: Dataset, config: TrainingConfig, k: int = 3,
     one train call runs the k backprop runs in lockstep, each to the
     model it would reach alone, and each fold's test rows are scored in
     one forward pass; an injected trainer is called once per fold, just
-    before its classifier scores that fold one sample at a time. The
-    confusion matrix pools the test predictions of all folds.
+    before its classifier scores that fold's test rows. The confusion
+    matrix pools the test predictions of all folds.
     """
     folds = make_folds(data, k, config.seed)
     configs = [replace(config, seed=config.seed + fold) for fold in range(k)]
-    train_sets = [[data.samples[i] for i in np.flatnonzero(folds != fold)] for fold in range(k)]
+    train_rows = [np.flatnonzero(folds != fold) for fold in range(k)]
     if trainer is None:
-        models, _ = train([init_model(c) for c in configs], train_sets, config)
+        models, _ = train([init_model(c) for c in configs], data.features, data.labels,
+                          config, train_rows)
     per_fold = []
     confusion = np.zeros((OUTPUT_SIZE, OUTPUT_SIZE), dtype=np.int64)
     for fold in range(k):
-        test_samples = [data.samples[i] for i in np.flatnonzero(folds == fold)]
+        test_set = data.take(np.flatnonzero(folds == fold))
         if trainer is None:
-            rows = np.array([s.features for s in test_samples])
-            preds = forward(models[fold], rows).argmax(axis=1)
+            preds = forward(models[fold], test_set.features).argmax(axis=1)
         else:
-            classify = trainer(train_sets[fold], configs[fold])
-            preds = [classify(s) for s in test_samples]
-        fold_confusion = confusion_matrix([s.label for s in test_samples], preds)
-        per_fold.append(100.0 * int(np.trace(fold_confusion)) / len(test_samples))
+            preds = trainer(data.take(train_rows[fold]), configs[fold])(test_set)
+        fold_confusion = confusion_matrix(test_set.labels, preds)
+        per_fold.append(100.0 * int(np.trace(fold_confusion)) / len(test_set))
         confusion += fold_confusion
     mean = sum(per_fold) / k
     return EvaluationReport(k, per_fold, mean, confusion, config)
@@ -275,7 +283,7 @@ def make_toy_dataset(per_class: int, noise: float, seed: int) -> Dataset:
     if not 0 <= noise <= 1:
         raise ValueError("noise must lie in [0, 1]")
     rng = np.random.Generator(np.random.PCG64(seed))
-    samples = []
+    rows = np.empty((OUTPUT_SIZE * per_class, FEATURE_COUNT))
     provenance = []
     for label in range(OUTPUT_SIZE):
         base = toy_glyph(label)
@@ -285,6 +293,6 @@ def make_toy_dataset(per_class: int, noise: float, seed: int) -> Dataset:
             if noise > 0:
                 flips = rng.random((GRID, GRID)) < noise
                 img = np.where(flips, 1 - img, img).astype(np.uint8)
-            samples.append(LabeledSample(extract_features(img), label))
+            rows[len(provenance)] = extract_features(img)
             provenance.append(f"toy:{label}:{i}:jitter={dr:+d}{dc:+d}")
-    return Dataset(samples, provenance)
+    return Dataset(rows, np.repeat(np.arange(OUTPUT_SIZE), per_class), provenance)

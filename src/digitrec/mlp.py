@@ -54,20 +54,6 @@ class ShapeMismatchError(ModelFormatError):
 
 
 @dataclass
-class LabeledSample:
-    features: np.ndarray
-    label: int
-
-    def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        if self.features.ndim != 1:
-            raise ValueError("features must be a 1-D vector")
-        if not 0 <= int(self.label) < OUTPUT_SIZE:
-            raise ValueError(f"label {self.label} outside 0..{OUTPUT_SIZE - 1}")
-        self.label = int(self.label)
-
-
-@dataclass
 class TrainingConfig:
     """Hyperparameters for init_model and train.
 
@@ -148,9 +134,19 @@ def _biased_input(model: MlpModel, x: np.ndarray) -> np.ndarray:
     if x.ndim not in (1, 2) or x.shape[-1] != model.input_size:
         raise DimensionMismatchError(
             f"features of shape {x.shape} do not fit input size {model.input_size}")
-    biased = np.ones(x.shape[:-1] + (model.input_size + 1,))
+    biased = np.empty(x.shape[:-1] + (model.input_size + 1,))
     biased[..., :-1] = x
+    biased[..., -1] = 1.0
     return biased
+
+
+def _targets(model: MlpModel, labels) -> np.ndarray:
+    """One-of-n target rows for int labels, once checked against the output width."""
+    labels = np.asarray(labels)
+    # Unchecked, np.eye(n)[-1] would pick row n-1 without a word.
+    if labels.dtype.kind not in "iu" or ((labels < 0) | (labels >= model.output_size)).any():
+        raise DimensionMismatchError(f"labels must be ints in 0..{model.output_size - 1}")
+    return np.eye(model.output_size)[labels]
 
 
 def _layer_inputs(weights: list[np.ndarray],
@@ -198,52 +194,52 @@ def _backprop(weights: list[np.ndarray], x: np.ndarray,
     return grads, error
 
 
-def gradient(model: MlpModel, sample: LabeledSample) -> list[np.ndarray]:
-    """dE/dw per weight matrix for E = 0.5 * ||target - output||^2."""
-    x = _biased_input(model, sample.features)
-    return _backprop(model.weights, x, np.eye(model.output_size)[sample.label])[0]
+def gradient(model: MlpModel, x: np.ndarray, label: int) -> list[np.ndarray]:
+    """dE/dw per weight matrix for E = 0.5 * ||target - output||^2 of one vector."""
+    return _backprop(model.weights, _biased_input(model, x), _targets(model, label))[0]
 
 
-def sample_error(model: MlpModel, sample: LabeledSample) -> float:
-    """0.5 * squared error of one sample."""
-    target = np.eye(model.output_size)[sample.label]
-    return float(_error(forward(model, sample.features), target)[1])
+def sample_error(model: MlpModel, x: np.ndarray, label: int) -> float:
+    """0.5 * squared error of one vector against its label's target."""
+    return float(_error(forward(model, x), _targets(model, label))[1])
 
 
-def train(model: MlpModel | list[MlpModel], data: list, config: TrainingConfig) -> tuple:
+def train(model: MlpModel | list[MlpModel], x: np.ndarray, labels, config: TrainingConfig,
+          rows: list[np.ndarray] | None = None) -> tuple:
     """Online backpropagation with momentum, in place; (model, history).
 
-    Samples are visited one at a time in a fresh seeded shuffle each
-    epoch; each visit applies
+    The model trains on the rows of x, a matrix with one feature vector
+    per row, and labels holds each row's int label. Rows are visited
+    one at a time in a fresh seeded shuffle each epoch; each visit
+    applies
 
         dw(t) = -lr * dE/dw + momentum * dw(t-1)
 
     where dw(t-1) is the previous update of the same weight (velocity
     carries across samples and epochs). The returned history holds the
-    summed per-sample error of each epoch, measured as each sample is
+    summed per-sample error of each epoch, measured as each row is
     visited. Training stops after max_epochs, or earlier once the
     epoch error improves by less than stop_tolerance for patience
-    epochs in a row. Samples are validated and stacked once per call.
+    epochs in a row. x and labels are checked once per call.
 
-    Given a list of models and as many sample lists, run r trains
-    models[r] on data[r] with seed config.seed + r, and (models,
-    histories) is returned. The runs step in lockstep, stacked on a
-    leading run axis, and each ends as it would have trained alone.
+    Given a list of models and a list rows of as many index arrays into
+    x, run r trains models[r] on x[rows[r]] with seed config.seed + r,
+    and (models, histories) is returned. The runs step in lockstep,
+    stacked on a leading run axis, and each ends as it would have
+    trained alone on its rows.
     """
     one = isinstance(model, MlpModel)
-    models, datasets = ([model], [data]) if one else (model, data)
-    if not all(datasets):
+    models = [model] if one else model
+    inputs = _biased_input(models[0], x)
+    if inputs.ndim != 2 or np.shape(labels) != inputs.shape[:1]:
+        raise DimensionMismatchError(f"train takes n rows and n labels, not shapes "
+                                     f"{np.shape(x)} and {np.shape(labels)}")
+    members = [np.arange(len(inputs))] if one else [np.asarray(r) for r in rows]
+    if len(members) != len(models):
+        raise ValueError(f"{len(models)} models but {len(members)} arrays of rows")
+    if not all(map(len, members)):
         raise EmptyDatasetError("cannot train on an empty dataset")
-    # One row per distinct sample: cross-validation folds share most of theirs.
-    samples = list({id(s): s for d in datasets for s in d}.values())
-    inputs = np.array([_biased_input(models[0], s.features) for s in samples])
-    n_out = models[0].output_size
-    for s in samples:
-        if not 0 <= s.label < n_out:
-            raise DimensionMismatchError(f"label {s.label} outside 0..{n_out - 1}")
-    targets = np.eye(n_out)[[s.label for s in samples]]
-    row = {id(s): i for i, s in enumerate(samples)}
-    members = [np.array([row[id(s)] for s in d]) for d in datasets]
+    targets = _targets(models[0], labels)
 
     rngs = [np.random.Generator(np.random.PCG64(config.seed + r)) for r in range(len(models))]
     weights = [np.stack(layer) for layer in zip(*(m.weights for m in models))]
@@ -261,8 +257,8 @@ def train(model: MlpModel | list[MlpModel], data: list, config: TrainingConfig) 
         for part, visits in parts:
             ws, vs = [w[part] for w in weights], [v[part] for v in velocity]
             errors = epoch_error[part]
-            for rows in visits:
-                grads, error = _backprop(ws, inputs.take(rows, 0), targets.take(rows, 0))
+            for visit in visits:
+                grads, error = _backprop(ws, inputs.take(visit, 0), targets.take(visit, 0))
                 errors += error
                 for w, v, g in zip(ws, vs, grads):
                     v *= config.momentum

@@ -18,7 +18,7 @@ from digitrec.evaluation import (cross_validate, format_accuracy,
 from digitrec.features import (extract_features, longest_run_features,
                                longest_runs_by_line, octant_of,
                                shadow_features, write_features_csv)
-from digitrec.mlp import (LabeledSample, gradient, random_model, sample_error)
+from digitrec.mlp import (gradient, random_model, sample_error)
 
 GRID = 32
 
@@ -170,18 +170,17 @@ def test_criterion_4_gradient_check():
         sizes = [int(rng.integers(2, 7)), int(rng.integers(2, 6)),
                  int(rng.integers(3, 11))]
         model = random_model(sizes, seed=1000 + trial)
-        sample = LabeledSample(rng.uniform(0, 1, sizes[0]),
-                               int(rng.integers(sizes[-1])))
-        analytic = gradient(model, sample)
+        x, label = rng.uniform(0, 1, sizes[0]), int(rng.integers(sizes[-1]))
+        analytic = gradient(model, x, label)
         step = 1e-5
         flat_an, flat_fd = [], []
         for w, an in zip(model.weights, analytic):
             for idx in np.ndindex(w.shape):
                 orig = w[idx]
                 w[idx] = orig + step
-                plus = sample_error(model, sample)
+                plus = sample_error(model, x, label)
                 w[idx] = orig - step
-                minus = sample_error(model, sample)
+                minus = sample_error(model, x, label)
                 w[idx] = orig
                 flat_fd.append((plus - minus) / (2 * step))
                 flat_an.append(an[idx])
@@ -198,8 +197,7 @@ def test_criterion_4_gradient_check():
 def test_criterion_5_training_determinism(tmp_path, capsys):
     data = make_toy_dataset(per_class=3, noise=0.0, seed=8)
     csv = tmp_path / "features.csv"
-    write_features_csv(csv, [s.label for s in data.samples],
-                       [s.features for s in data.samples])
+    write_features_csv(csv, data.labels, data.features)
     first = tmp_path / "a.mlp"
     second = tmp_path / "b.mlp"
     for path in (first, second):
@@ -235,20 +233,18 @@ def test_criterion_6_synthetic_end_to_end():
 
 def test_criterion_7_report_arithmetic(tmp_path):
     rng = np.random.Generator(np.random.PCG64(707))
-    samples = [LabeledSample(rng.random(2), label)
-               for label in range(10) for _ in range(600)]
-    data = evaluation.Dataset(samples, [str(i) for i in range(6000)])
+    data = evaluation.Dataset(rng.random((6000, 2)), np.repeat(np.arange(10), 600),
+                              [str(i) for i in range(6000)])
 
     quotas = iter([1933, 1934, 1933])  # of 2000 per fold: 96.65/96.70/96.65
 
-    def quota_trainer(train_samples, config):
-        budget = {"left": next(quotas)}
+    def quota_trainer(train_set, config):
+        quota = next(quotas)
 
-        def classify(sample):
-            if budget["left"] > 0:
-                budget["left"] -= 1
-                return sample.label
-            return (sample.label + 1) % 10
+        def classify(test_set):
+            # Right on the first quota rows of the fold, wrong on the rest.
+            right = np.arange(len(test_set)) < quota
+            return np.where(right, test_set.labels, (test_set.labels + 1) % 10)
 
         return classify
 
@@ -265,8 +261,7 @@ def test_criterion_7_report_arithmetic(tmp_path):
 def test_criterion_8_sweep_protocol(tmp_path, capsys, monkeypatch):
     data = make_toy_dataset(per_class=2, noise=0.0, seed=9)
     csv = tmp_path / "features.csv"
-    write_features_csv(csv, [s.label for s in data.samples],
-                       [s.features for s in data.samples])
+    write_features_csv(csv, data.labels, data.features)
 
     # Canned accuracy curve peaking twice so the tie rule is exercised:
     # sizes 45 and 50 share the best mean and 45 must win.

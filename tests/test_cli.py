@@ -164,13 +164,13 @@ def test_train_prints_the_per_sample_sse_and_accuracy(tmp_path, capsys):
     # sample_error and predict give one sample at a time.
     data = make_toy_dataset(per_class=6, noise=0.15, seed=12)
     csv = tmp_path / "toy.csv"
-    write_features_csv(csv, data.labels(), [s.features for s in data.samples])
+    write_features_csv(csv, data.labels, data.features)
     model_path = tmp_path / "m.mlp"
     assert main(["train", str(csv), "--model-out", str(model_path),
                  "--hidden", "5", "--epochs", "3", "--seed", "3"]) == 0
     model = load_model(model_path)
-    sse = sum(sample_error(model, s) for s in data.samples)
-    hits = sum(predict(model, s.features) == s.label for s in data.samples)
+    sse = sum(sample_error(model, x, label) for x, label in zip(data.features, data.labels))
+    hits = sum(predict(model, x) == label for x, label in zip(data.features, data.labels))
     assert 0 < hits < len(data)
     accuracy = format_accuracy(100.0 * hits / len(data))
     assert capsys.readouterr().out == f"sse {sse:.6f}\naccuracy {accuracy}\n"

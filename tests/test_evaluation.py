@@ -8,21 +8,18 @@ from digitrec.evaluation import (Dataset, EvaluationReport,
                                  format_confusion, make_folds,
                                  make_toy_dataset, sweep_hidden, toy_glyph,
                                  write_report_csv, write_sweep_csv)
-from digitrec.mlp import LabeledSample, TrainingConfig, init_model, predict, train
+from digitrec.mlp import TrainingConfig, init_model, predict, train
 
 
 def tiny_dataset(per_class=4, classes=10, seed=33):
     rng = np.random.Generator(np.random.PCG64(seed))
-    samples, provenance = [], []
-    for label in range(classes):
-        for i in range(per_class):
-            samples.append(LabeledSample(rng.random(8), label))
-            provenance.append(f"mem:{label}:{i}")
-    return Dataset(samples, provenance)
+    labels = np.repeat(np.arange(classes), per_class)
+    provenance = [f"mem:{label}:{i}" for label in range(classes) for i in range(per_class)]
+    return Dataset(rng.random((labels.size, 8)), labels, provenance)
 
 
-def perfect_trainer(samples, config):
-    return lambda s: s.label
+def perfect_trainer(train_set, config):
+    return lambda test_set: test_set.labels
 
 
 def small_config(**overrides):
@@ -40,7 +37,7 @@ def test_folds_partition_and_stratify():
     folds = make_folds(data, 3, seed=1)
     assert folds.dtype == np.int64 and folds.shape == (len(data),)
     assert (folds >= 0).all() and (folds < 3).all()
-    labels = np.array(data.labels())
+    labels = data.labels
     for label in range(10):
         counts = np.bincount(folds[labels == label], minlength=3)
         assert counts.max() - counts.min() <= 1
@@ -54,11 +51,9 @@ def test_folds_partition_and_stratify():
 
 def test_folds_handle_uneven_classes():
     rng = np.random.Generator(np.random.PCG64(2))
-    samples = [LabeledSample(rng.random(4), 0) for _ in range(7)]
-    samples += [LabeledSample(rng.random(4), 1) for _ in range(5)]
-    data = Dataset(samples, [str(i) for i in range(12)])
+    data = Dataset(rng.random((12, 4)), [0] * 7 + [1] * 5, [str(i) for i in range(12)])
     folds = make_folds(data, 3, seed=5)
-    labels = np.array(data.labels())
+    labels = data.labels
     for label, total in ((0, 7), (1, 5)):
         counts = np.bincount(folds[labels == label], minlength=3)
         assert counts.sum() == total and counts.max() - counts.min() <= 1
@@ -149,9 +144,9 @@ def test_cross_validate_feeds_each_fold_and_reseeds():
     data = tiny_dataset(per_class=3)
     seen = []
 
-    def spy_trainer(samples, config):
-        seen.append((len(samples), config.seed))
-        return lambda s: s.label
+    def spy_trainer(train_set, config):
+        seen.append((len(train_set), config.seed))
+        return lambda test_set: test_set.labels
 
     cross_validate(data, small_config(seed=40), k=3, trainer=spy_trainer)
     assert [n for n, _ in seen] == [20, 20, 20]
@@ -164,13 +159,12 @@ def test_cross_validate_scores_each_fold_right_after_training_it():
     data = tiny_dataset(per_class=3)
     events = []
 
-    def spy_trainer(samples, config):
+    def spy_trainer(train_set, config):
         events.append(("train", config.seed))
-        return lambda s: events.append(("score", config.seed)) or s.label
+        return lambda test_set: events.append(("score", config.seed)) or test_set.labels
 
     cross_validate(data, small_config(seed=40), k=3, trainer=spy_trainer)
-    runs = [e for i, e in enumerate(events) if i == 0 or e != events[i - 1]]
-    assert runs == [("train", 40), ("score", 40), ("train", 41), ("score", 41),
+    assert events == [("train", 40), ("score", 40), ("train", 41), ("score", 41),
                     ("train", 42), ("score", 42)]
 
 
@@ -178,7 +172,8 @@ def test_cross_validate_scores_a_biased_stub():
     # A classifier that always answers 0 is right exactly once per ten.
     data = tiny_dataset(per_class=3)
     report = cross_validate(data, small_config(), k=3,
-                            trainer=lambda samples, config: lambda s: 0)
+                            trainer=lambda train_set, config:
+                            lambda test_set: np.zeros(len(test_set), dtype=int))
     assert report.per_fold_accuracy == [10.0, 10.0, 10.0]
     assert report.confusion[:, 0].sum() == 30
 
@@ -195,9 +190,9 @@ def test_cross_validate_default_trainer_is_reproducible():
 def test_cross_validate_default_trains_each_fold_as_train_would():
     # The stacked default must train each fold from the same seed and
     # samples as a per-fold call of train, and so score exactly as it does.
-    def train_trainer(samples, config):
-        model, _ = train(init_model(config), samples, config)
-        return lambda s: predict(model, s.features)
+    def train_trainer(train_set, config):
+        model, _ = train(init_model(config), train_set.features, train_set.labels, config)
+        return lambda test_set: np.array([predict(model, x) for x in test_set.features])
 
     data = make_toy_dataset(per_class=5, noise=0.1, seed=51)
     config = small_config(hidden_size=3, max_epochs=40, seed=8)
@@ -292,14 +287,13 @@ def test_toy_glyphs_are_canonical_and_distinct():
 def test_toy_dataset_counts_and_determinism():
     data = make_toy_dataset(per_class=3, noise=0.1, seed=60)
     assert len(data) == 30
-    assert sorted(data.labels()) == sorted(list(range(10)) * 3)
+    assert data.features.shape == (30, 76) and data.labels.dtype == np.int64
+    assert sorted(data.labels) == sorted(list(range(10)) * 3)
     again = make_toy_dataset(per_class=3, noise=0.1, seed=60)
     assert data.provenance == again.provenance
-    for a, b in zip(data.samples, again.samples):
-        np.testing.assert_array_equal(a.features, b.features)
+    np.testing.assert_array_equal(data.features, again.features)
     other = make_toy_dataset(per_class=3, noise=0.1, seed=61)
-    assert any((a.features != b.features).any()
-               for a, b in zip(data.samples, other.samples))
+    assert (data.features != other.features).any(axis=1).any()
 
 
 def test_toy_dataset_jitter_tags_name_the_raster():
@@ -307,9 +301,9 @@ def test_toy_dataset_jitter_tags_name_the_raster():
     # identical feature vectors.
     data = make_toy_dataset(per_class=20, noise=0.0, seed=62)
     groups = {}
-    for sample, tag in zip(data.samples, data.provenance):
+    for vector, tag in zip(data.features, data.provenance):
         label, jitter = tag.split(":")[1], tag.split(":")[3]
-        groups.setdefault((label, jitter), []).append(sample.features)
+        groups.setdefault((label, jitter), []).append(vector)
     assert all(tag.startswith("toy:") for tag in data.provenance)
     for vectors in groups.values():
         for v in vectors[1:]:
@@ -330,5 +324,29 @@ def test_toy_dataset_validates_arguments():
 
 
 def test_dataset_validates_lengths():
-    with pytest.raises(ValueError):
-        Dataset([LabeledSample(np.zeros(4), 1)], [])
+    for features, labels, provenance in (
+            (np.zeros(4), [1], ["a"]),  # one vector, not a matrix of rows
+            (np.zeros((2, 4)), [1], ["a", "b"]),  # fewer labels than rows
+            (np.zeros((2, 4)), [1, 2], ["a"]),  # fewer provenance tags than rows
+            (np.zeros((1, 4)), [1, 2], ["a"]),  # fewer rows than labels
+            (np.zeros((2, 4)), [[1], [2]], ["a", "b"])):  # labels not a vector
+        with pytest.raises(ValueError):
+            Dataset(features, labels, provenance)
+
+
+@pytest.mark.parametrize("labels", [[1.0, 2.0], [True, False], [3, 10], [-1, 3]],
+                         ids=["float", "bool", "10", "-1"])
+def test_dataset_labels_must_be_digits(labels):
+    with pytest.raises(ValueError, match="labels must be integers in 0..9"):
+        Dataset(np.zeros((2, 4)), labels, ["a", "b"])
+
+
+def test_dataset_take_keeps_rows_labels_and_provenance_together():
+    data = Dataset(np.arange(12.0).reshape(4, 3), np.array([7, 0, 9, 4], dtype=np.int32),
+                   ["a", "b", "c", "d"])
+    assert data.labels.dtype == np.int64
+    part = data.take(np.array([3, 1]))
+    assert part.features.tolist() == [[9.0, 10.0, 11.0], [3.0, 4.0, 5.0]]
+    assert part.labels.tolist() == [4, 0] and part.provenance == ["d", "b"]
+    empty = Dataset(np.zeros((0, 3)), [], [])
+    assert len(empty) == 0 and empty.labels.dtype == np.int64

@@ -453,7 +453,7 @@ def test_toy_corpus_features_are_pinned():
     # Any change to any bit of any feature changes this digest of the
     # 100 x 76 float64 matrix; re-pin it only for a deliberate change.
     data = make_toy_dataset(10, 0.05, 7)
-    matrix = np.stack([s.features for s in data.samples])
+    matrix = data.features
     assert matrix.shape == (100, FEATURE_COUNT)
     assert hashlib.sha256(matrix.tobytes()).hexdigest() == (
         "bfcee255dd569311aaccca131b6d5c578d262bd8246b99f6a53e58f2dd0333b2")

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from digitrec.evaluation import make_folds, make_toy_dataset
 from digitrec.mlp import (INPUT_SIZE, OUTPUT_SIZE, BadMagicError,
                           DimensionMismatchError, EmptyDatasetError,
-                          LabeledSample, MlpModel, ModelFormatError,
+                          MlpModel, ModelFormatError,
                           ShapeMismatchError,
                           TrainingConfig, TruncatedStreamError,
                           VersionMismatchError, _error, forward,
@@ -27,9 +27,10 @@ def small_config(**overrides):
 
 
 def random_samples(rng, count, input_size, labels=range(10)):
+    """(x, labels): count random rows, labelled in turn from labels."""
     labels = list(labels)
-    return [LabeledSample(rng.random(input_size), labels[i % len(labels)])
-            for i in range(count)]
+    return (np.array([rng.random(input_size) for _ in range(count)]),
+            np.array([labels[i % len(labels)] for i in range(count)]))
 
 
 # ---------------------------------------------------------------------------
@@ -76,13 +77,6 @@ def test_config_rejects_non_finite_hyperparameters():
         for value in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 small_config(**{name: value})
-
-
-def test_labeled_sample_validation():
-    with pytest.raises(ValueError):
-        LabeledSample(np.zeros((2, 2)), 1)
-    with pytest.raises(ValueError):
-        LabeledSample(np.zeros(4), 10)
 
 
 # ---------------------------------------------------------------------------
@@ -139,11 +133,12 @@ def test_forward_on_rows_equals_one_call_per_row(sizes, n, seed):
 
 def test_batched_error_rows_equal_sample_error():
     # train's summary sums these rows; each must be sample_error to the bit.
-    data = make_toy_dataset(4, 0.1, 8).samples
+    data = make_toy_dataset(4, 0.1, 8)
     model = random_model([76, 9, 10], seed=8)
-    out = forward(model, np.array([s.features for s in data]))
-    errors = _error(out, np.eye(10)[[s.label for s in data]])[1]
-    assert errors.tolist() == [sample_error(model, s) for s in data]
+    out = forward(model, data.features)
+    errors = _error(out, np.eye(10)[data.labels])[1]
+    assert errors.tolist() == [sample_error(model, x, label)
+                               for x, label in zip(data.features, data.labels)]
 
 
 def test_forward_and_predict_reject_other_shapes():
@@ -160,22 +155,22 @@ def test_forward_and_predict_reject_other_shapes():
 def test_sample_error_zero_weights():
     model = MlpModel([np.zeros((5, 5)), np.zeros((10, 6))])
     # All outputs 0.5, one target 1 and nine targets 0: E = 10 * 0.125.
-    assert sample_error(model, LabeledSample(np.zeros(4), 3)) == 1.25
+    assert sample_error(model, np.zeros(4), 3) == 1.25
 
 
 # ---------------------------------------------------------------------------
 # Gradient
 
-def finite_difference(model, sample, step=1e-5):
+def finite_difference(model, x, label, step=1e-5):
     grads = []
     for w in model.weights:
         fd = np.zeros_like(w)
         for idx in np.ndindex(w.shape):
             orig = w[idx]
             w[idx] = orig + step
-            plus = sample_error(model, sample)
+            plus = sample_error(model, x, label)
             w[idx] = orig - step
-            minus = sample_error(model, sample)
+            minus = sample_error(model, x, label)
             w[idx] = orig
             fd[idx] = (plus - minus) / (2 * step)
         grads.append(fd)
@@ -186,9 +181,9 @@ def finite_difference(model, sample, step=1e-5):
 def test_gradient_matches_finite_differences(sizes):
     rng = np.random.Generator(np.random.PCG64(22))
     model = random_model(sizes, seed=22)
-    sample = LabeledSample(rng.random(sizes[0]), 2)
-    analytic = gradient(model, sample)
-    for an, fd in zip(analytic, finite_difference(model, sample)):
+    x = rng.random(sizes[0])
+    analytic = gradient(model, x, 2)
+    for an, fd in zip(analytic, finite_difference(model, x, 2)):
         np.testing.assert_allclose(an, fd, rtol=1e-6, atol=1e-8)
 
 
@@ -196,9 +191,8 @@ def test_gradient_is_exactly_zero_when_saturated():
     # Pre-activations of +/-800 drive the sigmoid to exact 0.0 or 1.0,
     # so the derivative factor vanishes and every gradient entry is 0.
     model = MlpModel([np.full((3, 3), 800.0), np.full((10, 4), 800.0)])
-    sample = LabeledSample(np.ones(2), 3)
-    assert sample_error(model, sample) == 4.5  # nine outputs off by one
-    for g in gradient(model, sample):
+    assert sample_error(model, np.ones(2), 3) == 4.5  # nine outputs off by one
+    for g in gradient(model, np.ones(2), 3):
         assert (g == 0.0).all()
 
 
@@ -209,9 +203,9 @@ def test_train_zero_learning_rate_changes_nothing():
     model = random_model([4, 3, 10], seed=9)
     before = [w.copy() for w in model.weights]
     rng = np.random.Generator(np.random.PCG64(9))
-    data = random_samples(rng, 6, 4)
-    ret, history = train(model, data, small_config(learning_rate=0.0,
-                                                   max_epochs=3, patience=50))
+    x, labels = random_samples(rng, 6, 4)
+    ret, history = train(model, x, labels, small_config(learning_rate=0.0,
+                                                        max_epochs=3, patience=50))
     assert ret is model
     assert len(history) == 3
     for w, b in zip(model.weights, before):
@@ -221,8 +215,7 @@ def test_train_zero_learning_rate_changes_nothing():
 def test_train_zero_epochs_returns_empty_history():
     model = random_model([4, 3, 10], seed=9)
     before = [w.copy() for w in model.weights]
-    _, history = train(model, [LabeledSample(np.zeros(4), 1)],
-                       small_config(max_epochs=0))
+    _, history = train(model, np.zeros((1, 4)), [1], small_config(max_epochs=0))
     assert history == []
     for w, b in zip(model.weights, before):
         np.testing.assert_array_equal(w, b)
@@ -230,13 +223,13 @@ def test_train_zero_epochs_returns_empty_history():
 
 def test_train_memorizes_a_single_sample():
     model = random_model([4, 8, 10], seed=11)
-    sample = LabeledSample(np.array([0.9, 0.1, 0.4, 0.7]), 3)
-    _, history = train(model, [sample],
+    x = np.array([0.9, 0.1, 0.4, 0.7])
+    _, history = train(model, x[None], [3],
                        small_config(learning_rate=0.8, momentum=0.7,
                                     max_epochs=500, stop_tolerance=1e-4,
                                     patience=20))
-    assert predict(model, sample.features) == 3
-    assert sample_error(model, sample) < 0.01
+    assert predict(model, x) == 3
+    assert sample_error(model, x, 3) < 0.01
     assert history[-1] < history[0]
 
 
@@ -244,36 +237,34 @@ def test_single_update_reduces_that_samples_error():
     rng = np.random.Generator(np.random.PCG64(23))
     for trial in range(5):
         model = random_model([5, 4, 10], seed=100 + trial)
-        sample = LabeledSample(rng.random(5), int(rng.integers(10)))
-        before = sample_error(model, sample)
-        train(model, [sample], small_config(learning_rate=1e-3, momentum=0.0,
-                                            max_epochs=1))
-        assert sample_error(model, sample) < before
+        x, label = rng.random(5), int(rng.integers(10))
+        before = sample_error(model, x, label)
+        train(model, x[None], [label], small_config(learning_rate=1e-3, momentum=0.0,
+                                                    max_epochs=1))
+        assert sample_error(model, x, label) < before
 
 
 def test_train_separates_two_clusters():
     rng = np.random.Generator(np.random.PCG64(24))
-    data = []
+    rows = []
     for i in range(20):
-        data.append(LabeledSample(
-            np.array([0.2, 0.8]) + rng.uniform(-0.05, 0.05, 2), 0))
-        data.append(LabeledSample(
-            np.array([0.8, 0.2]) + rng.uniform(-0.05, 0.05, 2), 1))
+        rows.append(np.array([0.2, 0.8]) + rng.uniform(-0.05, 0.05, 2))
+        rows.append(np.array([0.8, 0.2]) + rng.uniform(-0.05, 0.05, 2))
+    x, labels = np.array(rows), np.tile([0, 1], 20)
     model = random_model([2, 6, 10], seed=24)
-    train(model, data, small_config(learning_rate=0.8, momentum=0.7,
-                                    max_epochs=200, stop_tolerance=1e-4,
-                                    patience=20))
-    assert all(predict(model, s.features) == s.label for s in data)
+    train(model, x, labels, small_config(learning_rate=0.8, momentum=0.7,
+                                         max_epochs=200, stop_tolerance=1e-4,
+                                         patience=20))
+    assert all(predict(model, row) == label for row, label in zip(x, labels))
 
 
 def test_train_is_deterministic_for_a_seed():
     rng = np.random.Generator(np.random.PCG64(25))
-    data = random_samples(rng, 12, 4)
+    x, labels = random_samples(rng, 12, 4)
     runs = []
     for _ in range(2):
         model = random_model([4, 5, 10], seed=31)
-        _, history = train(model, [LabeledSample(s.features.copy(), s.label)
-                                   for s in data],
+        _, history = train(model, x.copy(), labels.copy(),
                            small_config(max_epochs=20, momentum=0.5))
         runs.append((model, history))
     assert runs[0][1] == runs[1][1]
@@ -285,22 +276,21 @@ def test_momentum_zero_equals_plain_sgd():
     # With momentum 0 each update must be exactly -lr * gradient; compare
     # against a separately written update loop, bit for bit.
     rng = np.random.Generator(np.random.PCG64(26))
-    data = random_samples(rng, 8, 3)
+    x, labels = random_samples(rng, 8, 3)
     config = small_config(max_epochs=4, learning_rate=0.3, momentum=0.0,
                           seed=13)
     model = random_model([3, 4, 10], seed=41)
     oracle = [w.copy() for w in model.weights]
-    train(model, data, config)
+    train(model, x, labels, config)
 
     order_rng = np.random.Generator(np.random.PCG64(config.seed))
     for _ in range(config.max_epochs):
-        for idx in order_rng.permutation(len(data)):
-            s = data[idx]
-            acts = [np.asarray(s.features, dtype=float)]
+        for idx in order_rng.permutation(len(x)):
+            acts = [np.asarray(x[idx], dtype=float)]
             for w in oracle:
                 acts.append(sigmoid(w @ np.concatenate([acts[-1], [1.0]])))
             target = np.zeros(10)
-            target[s.label] = 1.0
+            target[labels[idx]] = 1.0
             delta = (acts[-1] - target) * acts[-1] * (1.0 - acts[-1])
             for i in range(len(oracle) - 1, -1, -1):
                 grad = np.outer(delta, np.concatenate([acts[i], [1.0]]))
@@ -316,8 +306,7 @@ def test_train_stops_early_when_error_stalls():
     # Saturated weights make every gradient exactly zero, so the epoch
     # error never improves and the patience counter must fire.
     model = MlpModel([np.full((3, 5), 800.0), np.full((10, 4), 800.0)])
-    sample = LabeledSample(np.ones(4), 3)
-    _, history = train(model, [sample],
+    _, history = train(model, np.ones((1, 4)), [3],
                        small_config(max_epochs=50, stop_tolerance=1e-4,
                                     patience=2))
     assert history == [4.5, 4.5, 4.5]  # patience + 1 epochs, then stop
@@ -326,19 +315,34 @@ def test_train_stops_early_when_error_stalls():
 def test_train_rejects_bad_data():
     model = random_model([4, 3, 10], seed=1)
     with pytest.raises(EmptyDatasetError):
-        train(model, [], small_config())
-    with pytest.raises(DimensionMismatchError):
-        train(model, [LabeledSample(np.zeros(5), 1)], small_config())
+        train(model, np.zeros((0, 4)), [], small_config())
+    pair = [model, random_model([4, 3, 10], seed=2)]
+    with pytest.raises(EmptyDatasetError):
+        train(pair, np.zeros((2, 4)), [1, 2], small_config(), [np.arange(2), np.arange(0)])
+    with pytest.raises(ValueError, match="2 models but 1 arrays of rows"):
+        train(pair, np.zeros((2, 4)), [1, 2], small_config(), [np.arange(2)])
+    for x, labels in ((np.zeros(4), [1]),  # one vector, not a matrix of rows
+                      (np.zeros(4), 1),
+                      (np.zeros((2, 5)), [1, 2]),  # rows wider than the input
+                      (np.zeros((3, 4)), [1, 2]),  # fewer labels than rows
+                      (np.zeros((2, 4)), [1, 2, 3]),
+                      (np.zeros((2, 4)), [[1], [2]]),
+                      (np.zeros((2, 4)), [0.0, 1.0])):  # a float label is no index
+        with pytest.raises(DimensionMismatchError):
+            train(model, x, labels, small_config())
+
+
+@pytest.mark.parametrize("label", [3, 10, -1, -4])
+def test_labels_past_the_output_width_are_rejected(label):
+    # A 3-output model knows labels 0..2 only. np.eye(3)[-1] would
+    # silently train or score a negative label as label 2.
     narrow = random_model([4, 3, 3], seed=1)
     with pytest.raises(DimensionMismatchError):
-        train(narrow, [LabeledSample(np.zeros(4), 5)], small_config())
-    # A bad sample after good ones is caught before the inputs are stacked.
+        train(narrow, np.zeros((3, 4)), [0, 1, label], small_config())
     with pytest.raises(DimensionMismatchError):
-        train(model, [LabeledSample(np.zeros(4), 1), LabeledSample(np.zeros(5), 2)],
-              small_config())
+        gradient(narrow, np.zeros(4), label)
     with pytest.raises(DimensionMismatchError):
-        train(narrow, [LabeledSample(np.zeros(4), 1), LabeledSample(np.zeros(4), 2),
-                       LabeledSample(np.zeros(4), 7)], small_config())
+        sample_error(narrow, np.zeros(4), label)
 
 
 # ---------------------------------------------------------------------------
@@ -463,15 +467,15 @@ def oracle_backprop(model, x, label):
     return grads, error
 
 
-def oracle_train(model, data, config):
+def oracle_train(model, x, labels, config):
     rng = np.random.Generator(np.random.PCG64(config.seed))
     velocity = [np.zeros_like(w) for w in model.weights]
     history = []
     stale = 0
     for _ in range(config.max_epochs):
         epoch_error = 0.0
-        for idx in rng.permutation(len(data)):
-            grads, error = oracle_backprop(model, data[idx].features, data[idx].label)
+        for idx in rng.permutation(len(x)):
+            grads, error = oracle_backprop(model, x[idx], labels[idx])
             epoch_error += error
             for i, grad in enumerate(grads):
                 velocity[i] = config.momentum * velocity[i] - config.learning_rate * grad
@@ -489,10 +493,10 @@ def oracle_train(model, data, config):
 def test_trained_model_bytes_match_the_oracle(tmp_path):
     # Compared with an oracle run rather than a pinned digest: the BLAS
     # kernels behind the matrix products may differ between CPUs.
-    data = make_toy_dataset(3, 0.05, 11).samples
+    data = make_toy_dataset(3, 0.05, 11)
     config = TrainingConfig(hidden_size=7, max_epochs=25, seed=3)
-    model, history = train(init_model(config), data, config)
-    want, want_history = oracle_train(init_model(config), data, config)
+    model, history = train(init_model(config), data.features, data.labels, config)
+    want, want_history = oracle_train(init_model(config), data.features, data.labels, config)
     save_model(tmp_path / "got.mlp", model)
     save_model(tmp_path / "want.mlp", want)
     assert history == want_history
@@ -502,18 +506,19 @@ def test_trained_model_bytes_match_the_oracle(tmp_path):
 def test_two_hidden_layer_bytes_match_the_oracle(tmp_path):
     # The in-place momentum update runs over every layer, so train a net
     # with two hidden layers at the default momentum as well.
-    data = make_toy_dataset(3, 0.05, 11).samples
-    before = [s.features.copy() for s in data]
+    data = make_toy_dataset(3, 0.05, 11)
+    before = data.features.copy()
     config = TrainingConfig(max_epochs=15, seed=3)
-    model, history = train(random_model([76, 7, 5, 10], seed=3), data, config)
-    want, want_history = oracle_train(random_model([76, 7, 5, 10], seed=3), data, config)
+    model, history = train(random_model([76, 7, 5, 10], seed=3), data.features, data.labels,
+                           config)
+    want, want_history = oracle_train(random_model([76, 7, 5, 10], seed=3), data.features,
+                                      data.labels, config)
     save_model(tmp_path / "got.mlp", model)
     save_model(tmp_path / "want.mlp", want)
     assert history == want_history
     assert (tmp_path / "got.mlp").read_bytes() == (tmp_path / "want.mlp").read_bytes()
-    # train reads the samples and leaves their features as they were.
-    for sample, features in zip(data, before):
-        assert sample.features.tobytes() == features.tobytes()
+    # train reads the rows and leaves them as they were.
+    assert data.features.tobytes() == before.tobytes()
 
 
 def test_lockstep_runs_match_the_oracle_run_alone(tmp_path):
@@ -525,14 +530,16 @@ def test_lockstep_runs_match_the_oracle_run_alone(tmp_path):
     config = TrainingConfig(hidden_size=20, max_epochs=300, patience=3,
                             stop_tolerance=0.05, seed=5)
     assignments = make_folds(data, 3, config.seed)
-    folds = [[data.samples[i] for i in np.flatnonzero(assignments != f)] for f in range(3)]
+    folds = [np.flatnonzero(assignments != f) for f in range(3)]
     seeds = [5, 6, 7]  # train gives run r the seed config.seed + r
-    models, histories = train([init_model(replace(config, seed=s)) for s in seeds], folds, config)
+    models, histories = train([init_model(replace(config, seed=s)) for s in seeds],
+                              data.features, data.labels, config, folds)
     assert [len(fold) for fold in folds] == [130, 130, 140]
     assert len({len(history) for history in histories}) == 3
     for fold, seed, model, history in zip(folds, seeds, models, histories):
         fold_config = replace(config, seed=seed)
-        want, want_history = oracle_train(init_model(fold_config), fold, fold_config)
+        want, want_history = oracle_train(init_model(fold_config), data.features[fold],
+                                          data.labels[fold], fold_config)
         save_model(tmp_path / "got.mlp", model)
         save_model(tmp_path / "want.mlp", want)
         assert history == want_history
