@@ -94,7 +94,6 @@ def load_corpus(root: str | Path, threshold: int | None,
         raise DataError(f"no class directories 0..9 under {root}")
     rows: list[np.ndarray] = []
     labels: list[int] = []
-    provenance: list[str] = []
     skipped: list[str] = []
     for class_dir in class_dirs:
         label = int(class_dir.name)
@@ -111,11 +110,10 @@ def load_corpus(root: str | Path, threshold: int | None,
                 raise DataError(f"{path}: {exc}") from exc
             rows.append(vec)
             labels.append(label)
-            provenance.append(str(path))
         print(f"class {label}: {labels.count(label)} samples", file=sys.stderr)
     if not rows:
         raise DataError(f"no readable PGM samples under {root}")
-    return evaluation.Dataset(np.array(rows), np.array(labels), provenance), skipped
+    return evaluation.Dataset(np.array(rows), labels), skipped
 
 
 def _load_dataset(path_text: str, threshold: int | None,
@@ -127,13 +125,12 @@ def _load_dataset(path_text: str, threshold: int | None,
     if not path.exists():
         raise DataError(f"{path}: no such file or directory")
     try:
-        lines, labels, vectors = features.read_features_csv(path, with_lines=True)
+        labels, rows = features.read_features_csv(path)
     except ValueError as exc:
         raise DataError(str(exc)) from exc
-    if not lines:
+    if not len(labels):
         raise DataError(f"{path}: no samples")
-    return evaluation.Dataset(np.array(vectors), np.array(labels),
-                              [f"{path}:{line}" for line in lines])
+    return evaluation.Dataset(rows, labels)
 
 
 def _training_inputs(args) -> tuple[mlp.TrainingConfig, evaluation.Dataset]:

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from ._atomic import atomic_open
-from .features import FEATURE_COUNT, extract_features
+from .features import FEATURE_COUNT, digit_labels, extract_features
 from .imgproc import GRID
 from .mlp import OUTPUT_SIZE, TrainingConfig, forward, init_model, train
 
@@ -34,30 +34,23 @@ class LabelOutOfRangeError(ValueError):
 
 @dataclass
 class Dataset:
-    """An (n, d) float64 features matrix, its (n,) int64 labels in 0..9
-    and n provenance strings naming each row's source; checked once, here.
-    """
+    """An (n, d) float64 features matrix and its (n,) int64 labels in 0..9,
+    checked once, here."""
     features: np.ndarray
     labels: np.ndarray
-    provenance: list[str]
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
-        labels = np.asarray(self.labels)
-        if self.features.ndim != 2 or not (
-                labels.shape == (len(self.features),) == (len(self.provenance),)):
-            raise ValueError("need an (n, d) feature matrix, n labels and n provenance tags")
-        if labels.size and (labels.dtype.kind not in "iu"
-                            or not 0 <= labels.min() <= labels.max() < OUTPUT_SIZE):
-            raise ValueError(f"labels must be integers in 0..{OUTPUT_SIZE - 1}")
-        self.labels = labels.astype(np.int64)
+        if self.features.ndim != 2:
+            raise ValueError(f"need an (n, d) feature matrix, got shape {self.features.shape}")
+        self.labels = digit_labels(self.labels, len(self.features))
 
     def __len__(self) -> int:
         return len(self.labels)
 
     def take(self, rows: np.ndarray) -> Dataset:
         """The rows at the given indices, in that order."""
-        return Dataset(self.features[rows], self.labels[rows], [self.provenance[i] for i in rows])
+        return Dataset(self.features[rows], self.labels[rows])
 
 
 @dataclass
@@ -276,23 +269,19 @@ def make_toy_dataset(per_class: int, noise: float, seed: int) -> Dataset:
     Each copy shifts its archetype by up to two pixels in each axis
     and then flips every pixel independently with probability noise,
     all drawn from one seeded PCG64 stream, before feature extraction.
-    Provenance tags record class, copy index, and jitter.
     """
     if per_class < 1:
         raise ValueError("per_class must be at least 1")
     if not 0 <= noise <= 1:
         raise ValueError("noise must lie in [0, 1]")
     rng = np.random.Generator(np.random.PCG64(seed))
-    rows = np.empty((OUTPUT_SIZE * per_class, FEATURE_COUNT))
-    provenance = []
+    rows = np.empty((OUTPUT_SIZE, per_class, FEATURE_COUNT))
     for label in range(OUTPUT_SIZE):
         base = toy_glyph(label)
-        for i in range(per_class):
-            dr, dc = (int(v) for v in rng.integers(-2, 3, size=2))
-            img = _shift(base, dr, dc)
+        for row in rows[label]:
+            img = _shift(base, *rng.integers(-2, 3, size=2))
             if noise > 0:
                 flips = rng.random((GRID, GRID)) < noise
                 img = np.where(flips, 1 - img, img).astype(np.uint8)
-            rows[len(provenance)] = extract_features(img)
-            provenance.append(f"toy:{label}:{i}:jitter={dr:+d}{dc:+d}")
-    return Dataset(rows, np.repeat(np.arange(OUTPUT_SIZE), per_class), provenance)
+            row[:] = extract_features(img)
+    return Dataset(rows.reshape(-1, FEATURE_COUNT), np.repeat(np.arange(OUTPUT_SIZE), per_class))

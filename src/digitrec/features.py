@@ -58,6 +58,8 @@ longest_runs_by_line runs the same two functions on its one window.
 from __future__ import annotations
 
 import csv
+import math
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +79,8 @@ DIRECTIONS = ("row", "column", "diag_main", "diag_anti")
 _CENTER = 16.0
 _CELLS = 16
 _HALF = GRID // 2
+# Larger feature values would overflow the sums of a training step.
+_LIMIT = 1e6
 
 
 def _build_octant_tables() -> tuple[np.ndarray, np.ndarray]:
@@ -246,28 +250,38 @@ def extract_features(img: np.ndarray) -> np.ndarray:
     ])
 
 
-def write_features_csv(path: str | Path, labels, vectors) -> None:
-    """Write labeled vectors as CSV with header label,f0..f75."""
-    labels = list(labels)
-    vectors = list(vectors)
-    if len(labels) != len(vectors):
-        raise ValueError("labels and vectors differ in length")
+def digit_labels(labels, count: int) -> np.ndarray:
+    """labels as an (count,) int64 vector of digits 0..9, or ValueError."""
+    labels = np.asarray(labels)
+    if labels.shape != (count,):
+        raise ValueError(f"labels of shape {labels.shape} and {count} feature rows differ in length")
+    if labels.size and (labels.dtype.kind not in "iu" or not 0 <= labels.min() <= labels.max() <= 9):
+        raise ValueError("labels must be integers in 0..9")
+    return labels.astype(np.int64)
+
+
+def write_features_csv(path: str | Path, labels, features) -> None:
+    """Write an (n,) label vector and an (n, 76) feature matrix as CSV with
+    header label,f0..f75; values the reader would reject are a ValueError."""
+    features = np.asarray(features, dtype=np.float64)
+    if features.ndim != 2 or features.shape[1] != FEATURE_COUNT:
+        raise ValueError(f"expected an (n, {FEATURE_COUNT}) feature matrix, got {features.shape}")
+    labels = digit_labels(labels, len(features))
+    if not (np.abs(features) <= _LIMIT).all():
+        raise ValueError("feature value non-finite or outside [-1e6, 1e6]")
     with atomic_open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
-        for label, vec in zip(labels, vectors):
-            vec = np.asarray(vec, dtype=np.float64)
-            if vec.shape != (FEATURE_COUNT,):
-                raise ValueError(f"expected {FEATURE_COUNT} features, got {vec.shape}")
-            writer.writerow([int(label), *map(repr, vec.tolist())])
+        for label, row in zip(labels.tolist(), features):
+            writer.writerow([label, *map(repr, row.tolist())])
 
 
-def read_features_csv(path: str | Path, with_lines: bool = False) -> tuple:
-    """Read a feature CSV back into (labels, vectors); any bad field is a ValueError.
-
-    with_lines puts first the physical line on which each record starts.
+def read_features_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
+    """Read a feature CSV into an (n,) int64 label vector and an (n, 76)
+    float64 matrix; any bad field is a ValueError naming the path and the
+    physical line on which its record starts.
     """
-    lines, labels, vectors = [], [], []
+    labels, values = array("q"), array("d")
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -279,19 +293,17 @@ def read_features_csv(path: str | Path, with_lines: bool = False) -> tuple:
                 if len(rec) != FEATURE_COUNT + 1:
                     raise ValueError(f"{path}:{lineno}: expected {FEATURE_COUNT + 1} columns")
                 try:
-                    label, vector = int(rec[0]), np.array([float(v) for v in rec[1:]])
+                    label, row = int(rec[0]), list(map(float, rec[1:]))
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: {exc}") from None
                 if not 0 <= label <= 9:
                     raise ValueError(f"{path}:{lineno}: label {label} outside 0..9")
-                if not np.isfinite(vector).all():
-                    raise ValueError(f"{path}:{lineno}: non-finite feature value")
-                # Larger values would overflow the sums of a training step.
-                if (np.abs(vector) > 1e6).any():
+                if not all(-_LIMIT <= v <= _LIMIT for v in row):
+                    if not all(map(math.isfinite, row)):
+                        raise ValueError(f"{path}:{lineno}: non-finite feature value")
                     raise ValueError(f"{path}:{lineno}: feature value outside [-1e6, 1e6]")
-                lines.append(lineno)
                 labels.append(label)
-                vectors.append(vector)
+                values.fromlist(row)
         except csv.Error as exc:
             raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
-    return (lines, labels, vectors) if with_lines else (labels, vectors)
+    return np.frombuffer(labels, np.int64), np.frombuffer(values).reshape(-1, FEATURE_COUNT)

@@ -233,8 +233,7 @@ def test_criterion_6_synthetic_end_to_end():
 
 def test_criterion_7_report_arithmetic(tmp_path):
     rng = np.random.Generator(np.random.PCG64(707))
-    data = evaluation.Dataset(rng.random((6000, 2)), np.repeat(np.arange(10), 600),
-                              [str(i) for i in range(6000)])
+    data = evaluation.Dataset(rng.random((6000, 2)), np.repeat(np.arange(10), 600))
 
     quotas = iter([1933, 1934, 1933])  # of 2000 per fold: 96.65/96.70/96.65
 

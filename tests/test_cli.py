@@ -280,7 +280,13 @@ def test_csv_records_are_named_by_their_first_line(feature_csv, tmp_path, capsys
     data = tmp_path / "quoted.csv"
     data.write_text("\n".join([lines[0], ",".join(row)] + lines[2:]) + "\n")
     dataset = _load_dataset(str(data), None, False)
-    assert dataset.provenance[:3] == [f"{data}:2", f"{data}:4", f"{data}:5"]
+    assert len(dataset) == len(lines) - 1
+    # A bad field inside the two-line record is named by its first line.
+    bad = list(row)
+    bad[9] = "x"
+    data.write_text("\n".join([lines[0], ",".join(bad)] + lines[2:]) + "\n")
+    assert main(["train", str(data), "--model-out", str(tmp_path / "m.mlp")]) == 2
+    assert f"digitrec: {data}:2: could not convert" in capsys.readouterr().err
     bad = lines[2].split(",")
     bad[7] = "x"
     data.write_text("\n".join([lines[0], ",".join(row), ",".join(bad)] + lines[3:]) + "\n")

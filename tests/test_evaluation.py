@@ -14,8 +14,7 @@ from digitrec.mlp import TrainingConfig, init_model, predict, train
 def tiny_dataset(per_class=4, classes=10, seed=33):
     rng = np.random.Generator(np.random.PCG64(seed))
     labels = np.repeat(np.arange(classes), per_class)
-    provenance = [f"mem:{label}:{i}" for label in range(classes) for i in range(per_class)]
-    return Dataset(rng.random((labels.size, 8)), labels, provenance)
+    return Dataset(rng.random((labels.size, 8)), labels)
 
 
 def perfect_trainer(train_set, config):
@@ -51,7 +50,7 @@ def test_folds_partition_and_stratify():
 
 def test_folds_handle_uneven_classes():
     rng = np.random.Generator(np.random.PCG64(2))
-    data = Dataset(rng.random((12, 4)), [0] * 7 + [1] * 5, [str(i) for i in range(12)])
+    data = Dataset(rng.random((12, 4)), [0] * 7 + [1] * 5)
     folds = make_folds(data, 3, seed=5)
     labels = data.labels
     for label, total in ((0, 7), (1, 5)):
@@ -290,28 +289,10 @@ def test_toy_dataset_counts_and_determinism():
     assert data.features.shape == (30, 76) and data.labels.dtype == np.int64
     assert sorted(data.labels) == sorted(list(range(10)) * 3)
     again = make_toy_dataset(per_class=3, noise=0.1, seed=60)
-    assert data.provenance == again.provenance
+    np.testing.assert_array_equal(data.labels, again.labels)
     np.testing.assert_array_equal(data.features, again.features)
     other = make_toy_dataset(per_class=3, noise=0.1, seed=61)
     assert (data.features != other.features).any()
-
-
-def test_toy_dataset_jitter_tags_name_the_raster():
-    # Without pixel noise, two copies that record the same shift carry
-    # identical feature vectors.
-    data = make_toy_dataset(per_class=20, noise=0.0, seed=62)
-    groups = {}
-    for vector, tag in zip(data.features, data.provenance):
-        label, jitter = tag.split(":")[1], tag.split(":")[3]
-        groups.setdefault((label, jitter), []).append(vector)
-    assert all(tag.startswith("toy:") for tag in data.provenance)
-    for vectors in groups.values():
-        for v in vectors[1:]:
-            np.testing.assert_array_equal(v, vectors[0])
-    # At most 25 distinct shifts exist per class.
-    for label in range(10):
-        tags = {j for (l, j) in groups if l == str(label)}
-        assert len(tags) <= 25
 
 
 def test_toy_dataset_validates_arguments():
@@ -324,29 +305,27 @@ def test_toy_dataset_validates_arguments():
 
 
 def test_dataset_validates_lengths():
-    for features, labels, provenance in (
-            (np.zeros(4), [1], ["a"]),  # one vector, not a matrix of rows
-            (np.zeros((2, 4)), [1], ["a", "b"]),  # fewer labels than rows
-            (np.zeros((2, 4)), [1, 2], ["a"]),  # fewer provenance tags than rows
-            (np.zeros((1, 4)), [1, 2], ["a"]),  # fewer rows than labels
-            (np.zeros((2, 4)), [[1], [2]], ["a", "b"])):  # labels not a vector
+    for features, labels in (
+            (np.zeros(4), [1]),  # one vector, not a matrix of rows
+            (np.zeros((2, 4)), [1]),  # fewer labels than rows
+            (np.zeros((1, 4)), [1, 2]),  # fewer rows than labels
+            (np.zeros((2, 4)), [[1], [2]])):  # labels not a vector
         with pytest.raises(ValueError):
-            Dataset(features, labels, provenance)
+            Dataset(features, labels)
 
 
 @pytest.mark.parametrize("labels", [[1.0, 2.0], [True, False], [3, 10], [-1, 3]],
                          ids=["float", "bool", "10", "-1"])
 def test_dataset_labels_must_be_digits(labels):
     with pytest.raises(ValueError, match="labels must be integers in 0..9"):
-        Dataset(np.zeros((2, 4)), labels, ["a", "b"])
+        Dataset(np.zeros((2, 4)), labels)
 
 
-def test_dataset_take_keeps_rows_labels_and_provenance_together():
-    data = Dataset(np.arange(12.0).reshape(4, 3), np.array([7, 0, 9, 4], dtype=np.int32),
-                   ["a", "b", "c", "d"])
+def test_dataset_take_keeps_rows_and_labels_together():
+    data = Dataset(np.arange(12.0).reshape(4, 3), np.array([7, 0, 9, 4], dtype=np.int32))
     assert data.labels.dtype == np.int64
     part = data.take(np.array([3, 1]))
     assert part.features.tolist() == [[9.0, 10.0, 11.0], [3.0, 4.0, 5.0]]
-    assert part.labels.tolist() == [4, 0] and part.provenance == ["d", "b"]
-    empty = Dataset(np.zeros((0, 3)), [], [])
+    assert part.labels.tolist() == [4, 0]
+    empty = Dataset(np.zeros((0, 3)), [])
     assert len(empty) == 0 and empty.labels.dtype == np.int64

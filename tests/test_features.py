@@ -483,15 +483,29 @@ def test_extract_rejects_wrong_shape_and_values():
 def test_feature_csv_roundtrip_is_exact(tmp_path):
     rng = np.random.Generator(np.random.PCG64(20))
     vectors = [extract_features(random_raster(rng)) for _ in range(5)]
-    labels = [int(rng.integers(0, 10)) for _ in range(5)]
+    # Signed zeros, subnormals, tiny values and the largest accepted magnitudes.
+    extremes = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-300, -1e-300,
+                1e6, -1e6, np.nextafter(1e6, 0), 0.1, 1 / 3]
+    vectors.append(np.resize(extremes, FEATURE_COUNT))
+    labels = [int(rng.integers(0, 10)) for _ in range(6)]
     path = tmp_path / "features.csv"
     write_features_csv(path, labels, vectors)
     header = path.read_text().splitlines()[0]
     assert header == ",".join(CSV_HEADER)
     got_labels, got_vectors = read_features_csv(path)
-    assert got_labels == labels
-    for got, want in zip(got_vectors, vectors):
-        np.testing.assert_array_equal(got, want)
+    assert got_labels.dtype == np.int64 and got_labels.tolist() == labels
+    assert got_vectors.dtype == np.float64 and got_vectors.shape == (6, FEATURE_COUNT)
+    assert np.array_equal(got_vectors, vectors)
+    assert np.array_equal(np.signbit(got_vectors), np.signbit(vectors))
+
+
+def test_feature_csv_of_no_rows_reads_as_empty_arrays(tmp_path):
+    path = tmp_path / "features.csv"
+    write_features_csv(path, np.zeros(0, np.int64), np.zeros((0, FEATURE_COUNT)))
+    assert path.read_text() == ",".join(CSV_HEADER) + "\n"
+    labels, vectors = read_features_csv(path)
+    assert labels.shape == (0,) and labels.dtype == np.int64
+    assert vectors.shape == (0, FEATURE_COUNT) and vectors.dtype == np.float64
 
 
 def test_feature_csv_rejects_malformed_input(tmp_path):
@@ -541,5 +555,16 @@ def test_write_features_csv_keeps_the_old_file_on_failure(tmp_path):
         write_features_csv(out, [0, 1], [np.zeros(FEATURE_COUNT), np.zeros(5)])
     with pytest.raises(ValueError, match="differ in length"):
         write_features_csv(out, [0, 1, 2], [np.zeros(FEATURE_COUNT)] * 2)
+    # What the reader would reject is not written: int() would turn 3.7
+    # into a silent 3, and a label past 9 or a value past 1e6 would make
+    # a file that cannot be read back.
+    for labels in ([3.7, 1], [3.0, 1], [True, False], [3, 11], [-1, 3]):
+        with pytest.raises(ValueError, match=r"labels must be integers in 0\.\.9"):
+            write_features_csv(out, labels, [np.zeros(FEATURE_COUNT)] * 2)
+    for value in (np.nan, np.inf, -np.inf, 1000000.5, -1e308):
+        rows = np.zeros((2, FEATURE_COUNT))
+        rows[1, 40] = value
+        with pytest.raises(ValueError, match=r"non-finite or outside \[-1e6, 1e6\]"):
+            write_features_csv(out, [0, 1], rows)
     assert out.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["features.csv"]
