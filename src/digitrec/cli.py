@@ -137,18 +137,17 @@ def _training_inputs(args) -> tuple[mlp.TrainingConfig, evaluation.Dataset]:
     """(config, dataset) for train, crossval and sweep; flags are checked first."""
     if getattr(args, "folds", 2) < 2:
         raise UsageError(f"--folds must be at least 2, got {args.folds}")
-    threshold = parse_threshold(args.threshold)
     try:
         config = mlp.TrainingConfig(
-            hidden_size=getattr(args, "hidden", 65), learning_rate=args.lr,
+            hidden_size=args.hidden, learning_rate=args.lr,
             momentum=args.momentum, max_epochs=args.epochs, seed=args.seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    return config, _load_dataset(args.data, threshold, args.invert)
+    return config, _load_dataset(args.data, args.threshold, args.invert)
 
 
 def cmd_extract(args) -> int:
-    data = load_corpus(args.data_dir, parse_threshold(args.threshold), args.invert)[0]
+    data = load_corpus(args.data_dir, args.threshold, args.invert)[0]
     features.write_features_csv(args.out, data.labels, data.features)
     print(f"wrote {len(data)} rows to {args.out}", file=sys.stderr)
     return 0
@@ -156,14 +155,12 @@ def cmd_extract(args) -> int:
 
 def cmd_train(args) -> int:
     config, data = _training_inputs(args)
-    if len(set(data.labels.tolist())) < 2:
+    if np.count_nonzero(np.bincount(data.labels)) < 2:
         raise DataError("training needs at least two distinct classes")
     model, history = mlp.train(mlp.init_model(config), data.features, data.labels, config)
     mlp.save_model(args.model_out, model)
-    outputs = mlp.forward(model, data.features)
-    # Left to right over the rows, as summing sample_error would give.
-    sse = sum(mlp._error(outputs, mlp._targets(model, data.labels))[1].tolist())
-    hits = int((outputs.argmax(axis=1) == data.labels).sum())
+    sse = sum(mlp.sample_error(model, data.features, data.labels).tolist())
+    hits = int((mlp.forward(model, data.features).argmax(axis=1) == data.labels).sum())
     print(f"epochs {len(history)}", file=sys.stderr)
     print(f"sse {sse:.6f}")
     print(f"accuracy {evaluation.format_accuracy(100.0 * hits / len(data))}")
@@ -176,9 +173,8 @@ def cmd_predict(args) -> int:
     if model.output_size != mlp.OUTPUT_SIZE:
         raise DataError(f"{args.model}: model has {model.output_size} outputs, "
                         f"expected {mlp.OUTPUT_SIZE}")
-    threshold = parse_threshold(args.threshold)
     try:
-        vec = _image_to_features(Path(args.image), threshold, args.invert)
+        vec = _image_to_features(Path(args.image), args.threshold, args.invert)
     except (pgm.PgmError, imgproc.NoForegroundError, OSError) as exc:
         raise DataError(f"{args.image}: {exc}") from exc
     outputs = mlp.forward(model, vec)
@@ -200,9 +196,8 @@ def cmd_crossval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    sizes = parse_sizes(args.sizes)
     config, data = _training_inputs(args)
-    rows, best = evaluation.sweep_hidden(data, sizes, config, args.folds)
+    rows, best = evaluation.sweep_hidden(data, args.sizes, config, args.folds)
     evaluation.write_sweep_csv(args.report_out, rows)
     print(f"wrote {args.report_out}", file=sys.stderr)
     print(f"selected {best}")
@@ -210,24 +205,28 @@ def cmd_sweep(args) -> int:
 
 
 def _add_image_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--threshold", default="128",
-                   help="binarization cutoff 0..255, or 'otsu' (default 128)")
+    p.add_argument("--threshold", type=parse_threshold, default=imgproc.DEFAULT_THRESHOLD,
+                   help="binarization cutoff 0..255, or 'otsu' (default %(default)s)")
     p.add_argument("--invert", action="store_true",
                    help="treat bright pixels as ink (light-on-dark scans)")
 
 
 def _add_training_flags(p: argparse.ArgumentParser, with_hidden: bool = True) -> None:
+    """The TrainingConfig flags, defaulting to its fields."""
+    default = mlp.TrainingConfig()
     if with_hidden:
-        p.add_argument("--hidden", type=int, default=65,
-                       help="hidden layer size (default 65)")
-    p.add_argument("--lr", type=float, default=0.8,
-                   help="learning rate (default 0.8)")
-    p.add_argument("--momentum", type=float, default=0.7,
-                   help="momentum factor (default 0.7)")
-    p.add_argument("--epochs", type=int, default=500,
-                   help="epoch limit (default 500)")
-    p.add_argument("--seed", type=int, default=1,
-                   help="seed for weights and shuffling (default 1)")
+        p.add_argument("--hidden", type=int, default=default.hidden_size,
+                       help="hidden layer size (default %(default)s)")
+    else:
+        p.set_defaults(hidden=default.hidden_size)
+    p.add_argument("--lr", type=float, default=default.learning_rate,
+                   help="learning rate (default %(default)s)")
+    p.add_argument("--momentum", type=float, default=default.momentum,
+                   help="momentum factor (default %(default)s)")
+    p.add_argument("--epochs", type=int, default=default.max_epochs,
+                   help="epoch limit (default %(default)s)")
+    p.add_argument("--seed", type=int, default=default.seed,
+                   help="seed for weights and shuffling (default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -266,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="cross-validate a range of hidden sizes")
     p.add_argument("data", help="corpus directory or feature CSV")
-    p.add_argument("--sizes", required=True,
+    p.add_argument("--sizes", type=parse_sizes, required=True,
                    help="hidden sizes, 'start:end:step' or comma list")
     p.add_argument("--folds", type=int, default=3, help="fold count (default 3)")
     p.add_argument("--report-out", default="sweep.csv", help="sweep CSV path")

@@ -55,11 +55,12 @@ class Dataset:
 
 @dataclass
 class EvaluationReport:
-    fold_count: int
     per_fold_accuracy: list[float]
-    mean_accuracy: float
     confusion: np.ndarray
-    config: TrainingConfig
+
+    @property
+    def mean_accuracy(self) -> float:
+        return sum(self.per_fold_accuracy) / len(self.per_fold_accuracy)
 
 
 # A trainer consumes (a fold's training rows, fold config) and returns a
@@ -80,12 +81,12 @@ def make_folds(data: Dataset, k: int, seed: int) -> np.ndarray:
         raise ValueError("need at least 2 folds")
     rng = np.random.Generator(np.random.PCG64(seed))
     assignments = np.full(len(data), -1, dtype=np.int64)
-    for label in sorted(set(data.labels.tolist())):  # np.unique imports numpy.ma, ~2 MB
-        idx = np.flatnonzero(data.labels == label)
-        if idx.size < k:
+    counts = np.bincount(data.labels)
+    for label in np.flatnonzero(counts):
+        if counts[label] < k:
             raise TooFewSamplesError(
-                f"class {label} has {idx.size} samples, fewer than {k} folds")
-        idx = rng.permutation(idx)
+                f"class {label} has {counts[label]} samples, fewer than {k} folds")
+        idx = rng.permutation(np.flatnonzero(data.labels == label))
         assignments[idx] = np.arange(idx.size) % k
     return assignments
 
@@ -136,8 +137,7 @@ def cross_validate(data: Dataset, config: TrainingConfig, k: int = 3,
         fold_confusion = confusion_matrix(test_set.labels, preds)
         per_fold.append(100.0 * int(np.trace(fold_confusion)) / len(test_set))
         confusion += fold_confusion
-    mean = sum(per_fold) / k
-    return EvaluationReport(k, per_fold, mean, confusion, config)
+    return EvaluationReport(per_fold, confusion)
 
 
 def sweep_hidden(data: Dataset, sizes: list[int], config: TrainingConfig,
@@ -252,17 +252,6 @@ def toy_glyph(label: int) -> np.ndarray:
     return img
 
 
-def _shift(img: np.ndarray, dr: int, dc: int) -> np.ndarray:
-    """Translate without wrap-around; pixels leaving the frame vanish."""
-    out = np.zeros_like(img)
-    src_r = slice(max(0, -dr), GRID - max(0, dr))
-    src_c = slice(max(0, -dc), GRID - max(0, dc))
-    dst_r = slice(max(0, dr), GRID - max(0, -dr))
-    dst_c = slice(max(0, dc), GRID - max(0, -dc))
-    out[dst_r, dst_c] = img[src_r, src_c]
-    return out
-
-
 def make_toy_dataset(per_class: int, noise: float, seed: int) -> Dataset:
     """Feature vectors for jittered, noisy copies of the ten glyphs.
 
@@ -277,9 +266,10 @@ def make_toy_dataset(per_class: int, noise: float, seed: int) -> Dataset:
     rng = np.random.Generator(np.random.PCG64(seed))
     rows = np.empty((OUTPUT_SIZE, per_class, FEATURE_COUNT))
     for label in range(OUTPUT_SIZE):
-        base = toy_glyph(label)
+        padded = np.pad(toy_glyph(label), 2)  # a shift never wraps around
         for row in rows[label]:
-            img = _shift(base, *rng.integers(-2, 3, size=2))
+            dr, dc = rng.integers(-2, 3, size=2)
+            img = padded[2 - dr:2 - dr + GRID, 2 - dc:2 - dc + GRID]
             if noise > 0:
                 flips = rng.random((GRID, GRID)) < noise
                 img = np.where(flips, 1 - img, img).astype(np.uint8)

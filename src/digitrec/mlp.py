@@ -199,9 +199,15 @@ def gradient(model: MlpModel, x: np.ndarray, label: int) -> list[np.ndarray]:
     return _backprop(model.weights, _biased_input(model, x), _targets(model, label))[0]
 
 
-def sample_error(model: MlpModel, x: np.ndarray, label: int) -> float:
-    """0.5 * squared error of one vector against its label's target."""
-    return float(_error(forward(model, x), _targets(model, label))[1])
+def sample_error(model: MlpModel, x: np.ndarray, labels):
+    """0.5 * squared error of one vector against its label's target, as a
+    float, or the array of them for a matrix of rows and their labels."""
+    out = forward(model, x)
+    if np.shape(labels) != out.shape[:-1]:
+        raise DimensionMismatchError(f"{np.shape(labels)} labels for "
+                                     f"features of shape {np.shape(x)}")
+    error = _error(out, _targets(model, labels))[1]
+    return float(error) if out.ndim == 1 else error
 
 
 def train(model: MlpModel | list[MlpModel], x: np.ndarray, labels, config: TrainingConfig,
@@ -226,9 +232,11 @@ def train(model: MlpModel | list[MlpModel], x: np.ndarray, labels, config: Train
     x, run r trains models[r] on x[rows[r]] with seed config.seed + r,
     and (models, histories) is returned. The runs step in lockstep,
     stacked on a leading run axis, and each ends as it would have
-    trained alone on its rows.
+    trained alone on its rows. rows goes with a list of models only.
     """
     one = isinstance(model, MlpModel)
+    if one != (rows is None):
+        raise ValueError("rows must be given with a list of models, and only with one")
     models = [model] if one else model
     inputs = _biased_input(models[0], x)
     if inputs.ndim != 2 or np.shape(labels) != inputs.shape[:1]:

@@ -269,8 +269,7 @@ def test_criterion_8_sweep_protocol(tmp_path, capsys, monkeypatch):
 
     def canned_evaluate(data, config, k):
         acc = curve[config.hidden_size]
-        return evaluation.EvaluationReport(
-            k, [acc] * k, acc, np.zeros((10, 10), dtype=int), config)
+        return evaluation.EvaluationReport([acc] * k, np.zeros((10, 10), dtype=int))
 
     real_sweep = evaluation.sweep_hidden
 

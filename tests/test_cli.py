@@ -1,17 +1,24 @@
 import contextlib
 import io
+import os
 import re
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from digitrec.cli import _load_dataset, main, parse_sizes, parse_threshold, UsageError
+import digitrec
+from digitrec.cli import (_load_dataset, build_parser, main, parse_sizes, parse_threshold,
+                          UsageError)
 from digitrec.evaluation import format_accuracy, make_toy_dataset, toy_glyph
 from digitrec.features import CSV_HEADER, read_features_csv, write_features_csv
-from digitrec.mlp import load_model, predict, random_model, sample_error, save_model
+from digitrec.imgproc import DEFAULT_THRESHOLD
+from digitrec.mlp import (TrainingConfig, load_model, predict, random_model, sample_error,
+                          save_model)
 from digitrec.pgm import write_pgm
 
 
@@ -64,6 +71,26 @@ def test_parse_sizes_range_and_list():
     for bad in ("70:25:5", "25:70:0", "8,4", "4,4", "0,5", "a,b", "1:2", ""):
         with pytest.raises(UsageError):
             parse_sizes(bad)
+
+
+def test_flags_arrive_parsed_with_the_library_defaults():
+    d = TrainingConfig()
+    for argv in (["train", "d"], ["crossval", "d"], ["sweep", "d", "--sizes", "4,8"]):
+        args = build_parser().parse_args(argv)
+        assert (args.hidden, args.lr, args.momentum, args.epochs, args.seed) == \
+            (d.hidden_size, d.learning_rate, d.momentum, d.max_epochs, d.seed)
+        assert args.threshold == DEFAULT_THRESHOLD
+    assert build_parser().parse_args(["extract", "d", "o", "--threshold", "otsu"]).threshold is None
+    assert build_parser().parse_args(["sweep", "d", "--sizes", "4,8"]).sizes == [4, 8]
+
+
+def test_usage_errors_come_before_any_file_is_read(tmp_path, capsys):
+    missing = str(tmp_path / "missing")
+    for argv in (["predict", missing, missing, "--threshold", "999"],
+                 ["extract", missing, missing, "--threshold", "dark"],
+                 ["sweep", missing, "--sizes", "9:3:3"]):
+        assert main(argv) == 1
+        assert "missing" not in capsys.readouterr().err
 
 
 def test_help_and_missing_subcommand(capsys):
@@ -174,6 +201,22 @@ def test_train_prints_the_per_sample_sse_and_accuracy(tmp_path, capsys):
     assert 0 < hits < len(data)
     accuracy = format_accuracy(100.0 * hits / len(data))
     assert capsys.readouterr().out == f"sse {sse:.6f}\naccuracy {accuracy}\n"
+
+
+def test_train_and_crossval_leave_numpy_ma_unimported(feature_csv, tmp_path):
+    # numpy.ma adds about 1.4 MB to the process; np.unique would import it.
+    script = (
+        "import sys\n"
+        "from digitrec.cli import main\n"
+        f"assert main(['train', {str(feature_csv)!r}, '--epochs', '2',"
+        f" '--model-out', {str(tmp_path / 'm.mlp')!r}]) == 0\n"
+        f"assert main(['crossval', {str(feature_csv)!r}, '--epochs', '2',"
+        f" '--report-out', {str(tmp_path / 'r.csv')!r}]) == 0\n"
+        "assert 'numpy.ma' not in sys.modules\n")
+    src = os.path.dirname(os.path.dirname(digitrec.__file__))
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                            text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert result.returncode == 0, result.stderr
 
 
 def test_train_is_reproducible_per_seed(feature_csv, tmp_path):

@@ -133,7 +133,6 @@ def test_confusion_rendering_roundtrips():
 def test_cross_validate_with_a_perfect_stub():
     data = tiny_dataset(per_class=3)
     report = cross_validate(data, small_config(), k=3, trainer=perfect_trainer)
-    assert report.fold_count == 3
     assert report.per_fold_accuracy == [100.0, 100.0, 100.0]
     assert report.mean_accuracy == 100.0
     np.testing.assert_array_equal(report.confusion, np.eye(10, dtype=int) * 3)
@@ -206,10 +205,7 @@ def test_cross_validate_default_trains_each_fold_as_train_would():
 
 def canned_evaluate(table):
     def evaluate(data, config, k):
-        per_fold = table[config.hidden_size]
-        mean = sum(per_fold) / len(per_fold)
-        return EvaluationReport(k, list(per_fold), mean,
-                                np.zeros((10, 10), dtype=int), config)
+        return EvaluationReport(list(table[config.hidden_size]), np.zeros((10, 10), dtype=int))
     return evaluate
 
 
@@ -251,8 +247,7 @@ def test_format_accuracy_rounds_half_up():
 
 
 def test_report_csv_contents(tmp_path):
-    report = EvaluationReport(2, [50.0, 100.0], 75.0,
-                              np.zeros((10, 10), dtype=int), small_config())
+    report = EvaluationReport([50.0, 100.0], np.zeros((10, 10), dtype=int))
     path = tmp_path / "report.csv"
     write_report_csv(path, report)
     assert path.read_text() == "fold,accuracy\n1,50.00\n2,100.00\nmean,75.00\n"

@@ -13,7 +13,7 @@ from digitrec.mlp import (INPUT_SIZE, OUTPUT_SIZE, BadMagicError,
                           MlpModel, ModelFormatError,
                           ShapeMismatchError,
                           TrainingConfig, TruncatedStreamError,
-                          VersionMismatchError, _error, forward,
+                          VersionMismatchError, forward,
                           gradient, init_model,
                           load_model, predict, random_model, sample_error,
                           save_model, sigmoid, train)
@@ -132,13 +132,19 @@ def test_forward_on_rows_equals_one_call_per_row(sizes, n, seed):
 
 
 def test_batched_error_rows_equal_sample_error():
-    # train's summary sums these rows; each must be sample_error to the bit.
+    # digitrec train sums the rows form for its sse; each row must be the
+    # one-vector error to the bit.
     data = make_toy_dataset(4, 0.1, 8)
     model = random_model([76, 9, 10], seed=8)
-    out = forward(model, data.features)
-    errors = _error(out, np.eye(10)[data.labels])[1]
+    errors = sample_error(model, data.features, data.labels)
+    assert errors.shape == (len(data),)
     assert errors.tolist() == [sample_error(model, x, label)
                                for x, label in zip(data.features, data.labels)]
+    for labels in (data.labels[:-1], data.labels[:1], np.append(data.labels, 0)):
+        with pytest.raises(DimensionMismatchError):
+            sample_error(model, data.features, labels)
+    with pytest.raises(DimensionMismatchError):
+        sample_error(model, data.features[0], data.labels[:1])  # one vector takes one label
 
 
 def test_forward_and_predict_reject_other_shapes():
@@ -321,6 +327,11 @@ def test_train_rejects_bad_data():
         train(pair, np.zeros((2, 4)), [1, 2], small_config(), [np.arange(2), np.arange(0)])
     with pytest.raises(ValueError, match="2 models but 1 arrays of rows"):
         train(pair, np.zeros((2, 4)), [1, 2], small_config(), [np.arange(2)])
+    # rows picks rows for each of a list of models, and a list needs it.
+    with pytest.raises(ValueError, match="rows must be given with a list of models"):
+        train(model, np.zeros((20, 4)), [1] * 20, small_config(), rows=np.arange(5))
+    with pytest.raises(ValueError, match="rows must be given with a list of models"):
+        train([model], np.zeros((20, 4)), [1] * 20, small_config())
     for x, labels in ((np.zeros(4), [1]),  # one vector, not a matrix of rows
                       (np.zeros(4), 1),
                       (np.zeros((2, 5)), [1, 2]),  # rows wider than the input
