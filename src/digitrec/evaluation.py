@@ -153,8 +153,6 @@ def sweep_hidden(data: Dataset, sizes: list[int], config: TrainingConfig,
         raise ValueError("no hidden sizes to sweep")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError(f"hidden sizes must be ascending, got {sizes}")
-    if any(n < 1 for n in sizes):
-        raise ValueError(f"hidden sizes must be positive, got {sizes}")
     rows = []
     best_size, best_mean = None, -1.0
     for size in sizes:

@@ -71,6 +71,8 @@ FEATURE_COUNT = 76
 SHADOW_COUNT = 24
 CENTROID_COUNT = 16
 LONGEST_RUN_COUNT = 36
+# Larger feature values or model weights would overflow the sums of a training step.
+VALUE_LIMIT = 1e6
 
 CSV_HEADER = ["label"] + [f"f{i}" for i in range(FEATURE_COUNT)]
 
@@ -79,8 +81,6 @@ DIRECTIONS = ("row", "column", "diag_main", "diag_anti")
 _CENTER = 16.0
 _CELLS = 16
 _HALF = GRID // 2
-# Larger feature values would overflow the sums of a training step.
-_LIMIT = 1e6
 
 
 def _build_octant_tables() -> tuple[np.ndarray, np.ndarray]:
@@ -267,7 +267,7 @@ def write_features_csv(path: str | Path, labels, features) -> None:
     if features.ndim != 2 or features.shape[1] != FEATURE_COUNT:
         raise ValueError(f"expected an (n, {FEATURE_COUNT}) feature matrix, got {features.shape}")
     labels = digit_labels(labels, len(features))
-    if not (np.abs(features) <= _LIMIT).all():
+    if not (np.abs(features) <= VALUE_LIMIT).all():
         raise ValueError("feature value non-finite or outside [-1e6, 1e6]")
     with atomic_open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -298,7 +298,7 @@ def read_features_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
                     raise ValueError(f"{path}:{lineno}: {exc}") from None
                 if not 0 <= label <= 9:
                     raise ValueError(f"{path}:{lineno}: label {label} outside 0..9")
-                if not all(-_LIMIT <= v <= _LIMIT for v in row):
+                if not all(-VALUE_LIMIT <= v <= VALUE_LIMIT for v in row):
                     if not all(map(math.isfinite, row)):
                         raise ValueError(f"{path}:{lineno}: non-finite feature value")
                     raise ValueError(f"{path}:{lineno}: feature value outside [-1e6, 1e6]")

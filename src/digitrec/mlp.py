@@ -16,10 +16,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._atomic import atomic_open
-from .features import FEATURE_COUNT
+from .features import FEATURE_COUNT, VALUE_LIMIT
 
 INPUT_SIZE = FEATURE_COUNT
 OUTPUT_SIZE = 10
+STOP_TOLERANCE = 1e-4  # training stops once its epoch error has improved by less
+PATIENCE = 20  # than STOP_TOLERANCE for PATIENCE epochs in a row
 
 MAGIC = b"MLP1"
 FORMAT_VERSION = 1
@@ -64,23 +66,19 @@ class TrainingConfig:
     learning_rate: float = 0.8
     momentum: float = 0.7
     max_epochs: int = 500
-    stop_tolerance: float = 1e-4
-    patience: int = 20
     seed: int = 1
 
     def __post_init__(self):
         if self.hidden_size < 1:
             raise ValueError("hidden_size must be at least 1")
-        for name in ("learning_rate", "momentum", "stop_tolerance"):
+        for name in ("learning_rate", "momentum"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        for name in ("learning_rate", "max_epochs", "stop_tolerance"):
+        for name in ("learning_rate", "max_epochs", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
         if not 0 <= self.momentum < 1:
             raise ValueError("momentum must lie in [0, 1)")
-        if self.patience < 1:
-            raise ValueError("patience must be at least 1")
 
 
 @dataclass
@@ -129,20 +127,24 @@ def init_model(config: TrainingConfig) -> MlpModel:
 
 
 def _biased_input(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """x (one vector or a matrix of rows) as float64 with a bias input 1 appended, once checked."""
+    """x (a vector or matrix of rows, values in [-1e6, 1e6]) checked, as float64 plus a bias 1."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (1, 2) or x.shape[-1] != model.input_size:
         raise DimensionMismatchError(
             f"features of shape {x.shape} do not fit input size {model.input_size}")
+    if not np.abs(x).max(initial=0.0) <= VALUE_LIMIT:  # NaN too, which would make NaN weights
+        raise DimensionMismatchError("feature value non-finite or outside [-1e6, 1e6]")
     biased = np.empty(x.shape[:-1] + (model.input_size + 1,))
     biased[..., :-1] = x
     biased[..., -1] = 1.0
     return biased
 
 
-def _targets(model: MlpModel, labels) -> np.ndarray:
-    """One-of-n target rows for int labels, once checked against the output width."""
+def _targets(model: MlpModel, labels, x: np.ndarray) -> np.ndarray:
+    """One-of-n target rows for int labels, once checked to fit x's rows and the output width."""
     labels = np.asarray(labels)
+    if labels.shape != x.shape[:-1]:
+        raise DimensionMismatchError(f"labels of shape {labels.shape}, expected {x.shape[:-1]}")
     # Unchecked, np.eye(n)[-1] would pick row n-1 without a word.
     if labels.dtype.kind not in "iu" or ((labels < 0) | (labels >= model.output_size)).any():
         raise DimensionMismatchError(f"labels must be ints in 0..{model.output_size - 1}")
@@ -196,18 +198,16 @@ def _backprop(weights: list[np.ndarray], x: np.ndarray,
 
 def gradient(model: MlpModel, x: np.ndarray, label: int) -> list[np.ndarray]:
     """dE/dw per weight matrix for E = 0.5 * ||target - output||^2 of one vector."""
-    return _backprop(model.weights, _biased_input(model, x), _targets(model, label))[0]
+    x = _biased_input(model, x)
+    return _backprop(model.weights, x, _targets(model, label, x))[0]
 
 
 def sample_error(model: MlpModel, x: np.ndarray, labels):
     """0.5 * squared error of one vector against its label's target, as a
     float, or the array of them for a matrix of rows and their labels."""
-    out = forward(model, x)
-    if np.shape(labels) != out.shape[:-1]:
-        raise DimensionMismatchError(f"{np.shape(labels)} labels for "
-                                     f"features of shape {np.shape(x)}")
-    error = _error(out, _targets(model, labels))[1]
-    return float(error) if out.ndim == 1 else error
+    x = _biased_input(model, x)
+    error = _error(_layer_inputs(model.weights, x)[1], _targets(model, labels, x))[1]
+    return float(error) if x.ndim == 1 else error
 
 
 def train(model: MlpModel | list[MlpModel], x: np.ndarray, labels, config: TrainingConfig,
@@ -225,8 +225,8 @@ def train(model: MlpModel | list[MlpModel], x: np.ndarray, labels, config: Train
     carries across samples and epochs). The returned history holds the
     summed per-sample error of each epoch, measured as each row is
     visited. Training stops after max_epochs, or earlier once the
-    epoch error improves by less than stop_tolerance for patience
-    epochs in a row. x and labels are checked once per call.
+    epoch error improves by less than STOP_TOLERANCE for PATIENCE
+    epochs in a row. x, labels and rows are checked once per call.
 
     Given a list of models and a list rows of as many index arrays into
     x, run r trains models[r] on x[rows[r]] with seed config.seed + r,
@@ -239,15 +239,17 @@ def train(model: MlpModel | list[MlpModel], x: np.ndarray, labels, config: Train
         raise ValueError("rows must be given with a list of models, and only with one")
     models = [model] if one else model
     inputs = _biased_input(models[0], x)
-    if inputs.ndim != 2 or np.shape(labels) != inputs.shape[:1]:
-        raise DimensionMismatchError(f"train takes n rows and n labels, not shapes "
-                                     f"{np.shape(x)} and {np.shape(labels)}")
+    if inputs.ndim != 2:
+        raise DimensionMismatchError(f"train takes a matrix of rows, not shape {np.shape(x)}")
     members = [np.arange(len(inputs))] if one else [np.asarray(r) for r in rows]
     if len(members) != len(models):
         raise ValueError(f"{len(models)} models but {len(members)} arrays of rows")
+    if not all(r.ndim == 1 and r.dtype.kind in "iu" and ((r >= 0) & (r < len(inputs))).all()
+               for r in members if r.size):
+        raise ValueError(f"rows must be 1-D arrays of ints in 0..{len(inputs) - 1}")
     if not all(map(len, members)):
         raise EmptyDatasetError("cannot train on an empty dataset")
-    targets = _targets(models[0], labels)
+    targets = _targets(models[0], labels, inputs)
 
     rngs = [np.random.Generator(np.random.PCG64(config.seed + r)) for r in range(len(models))]
     weights = [np.stack(layer) for layer in zip(*(m.weights for m in models))]
@@ -277,12 +279,12 @@ def train(model: MlpModel | list[MlpModel], x: np.ndarray, labels, config: Train
             for mw, w in zip(models[r].weights, weights):
                 mw[...] = w[a]
             error, history = float(epoch_error[a]), histories[r]
-            if history and history[-1] - error < config.stop_tolerance:
+            if history and history[-1] - error < STOP_TOLERANCE:
                 stale[r] += 1
             else:
                 stale[r] = 0
             history.append(error)
-        keep = [a for a, r in enumerate(runs) if stale[r] < config.patience]
+        keep = [a for a, r in enumerate(runs) if stale[r] < PATIENCE]
         runs = [runs[a] for a in keep]
         weights, velocity = [w[keep] for w in weights], [v[keep] for v in velocity]
         if not runs:
@@ -334,7 +336,7 @@ def load_model(path) -> MlpModel:
     for n_in, n_out in zip(sizes, sizes[1:]):
         raw = take(8 * n_out * (n_in + 1), "weight matrix")
         weights.append(np.frombuffer(raw, dtype="<f8").reshape(n_out, n_in + 1).copy())
-        if not (np.abs(weights[-1]) <= 1e6).all():  # NaN too; keeps forward far from overflow
+        if not (np.abs(weights[-1]) <= VALUE_LIMIT).all():  # NaN too; keeps forward finite
             raise ModelFormatError(f"weight outside [-1e6, 1e6] in layer {len(weights)}")
     if offset != len(data):
         raise ShapeMismatchError(f"{len(data) - offset} trailing bytes after weights")

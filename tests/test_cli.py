@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import os
 import re
@@ -12,8 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import digitrec
-from digitrec.cli import (_load_dataset, build_parser, main, parse_sizes, parse_threshold,
-                          UsageError)
+from digitrec.cli import (_load_dataset, _training_inputs, build_parser, main, parse_sizes,
+                          parse_threshold, UsageError)
 from digitrec.evaluation import format_accuracy, make_toy_dataset, toy_glyph
 from digitrec.features import CSV_HEADER, read_features_csv, write_features_csv
 from digitrec.imgproc import DEFAULT_THRESHOLD
@@ -82,6 +83,23 @@ def test_flags_arrive_parsed_with_the_library_defaults():
         assert args.threshold == DEFAULT_THRESHOLD
     assert build_parser().parse_args(["extract", "d", "o", "--threshold", "otsu"]).threshold is None
     assert build_parser().parse_args(["sweep", "d", "--sizes", "4,8"]).sizes == [4, 8]
+
+
+def test_training_config_holds_only_what_the_flags_set(monkeypatch):
+    # A field no flag sets would be a knob that no run of the CLI can turn.
+    seen = {}
+
+    def spy(**kwargs):
+        seen.update(kwargs)
+        raise RuntimeError("config built")
+
+    args = build_parser().parse_args(["train", "d"])
+    monkeypatch.setattr("digitrec.mlp.TrainingConfig", spy)
+    with pytest.raises(RuntimeError, match="config built"):
+        _training_inputs(args)
+    names = [f.name for f in dataclasses.fields(TrainingConfig)]
+    assert sorted(seen) == sorted(names) == [
+        "hidden_size", "learning_rate", "max_epochs", "momentum", "seed"]
 
 
 def test_usage_errors_come_before_any_file_is_read(tmp_path, capsys):
@@ -260,8 +278,10 @@ def test_train_rejects_missing_or_empty_data(feature_csv, tmp_path, capsys):
 
 
 def test_train_rejects_bad_hyperparameters(feature_csv, tmp_path):
-    assert main(["train", str(feature_csv), "--model-out",
-                 str(tmp_path / "m.mlp"), "--momentum", "1.0"]) == 1
+    # A negative seed reached PCG64 and exited 3 as an internal error.
+    for flag, value in (("--momentum", "1.0"), ("--seed", "-1")):
+        assert main(["train", str(feature_csv), "--model-out",
+                     str(tmp_path / "m.mlp"), flag, value]) == 1
 
 
 def test_train_rejects_non_finite_learning_rate(feature_csv, tmp_path, capsys):

@@ -23,7 +23,7 @@ def perfect_trainer(train_set, config):
 
 def small_config(**overrides):
     base = dict(hidden_size=4, learning_rate=0.8, momentum=0.7,
-                max_epochs=30, stop_tolerance=1e-4, patience=5, seed=3)
+                max_epochs=30, seed=3)
     base.update(overrides)
     return TrainingConfig(**base)
 

@@ -21,7 +21,7 @@ from digitrec.mlp import (INPUT_SIZE, OUTPUT_SIZE, BadMagicError,
 
 def small_config(**overrides):
     base = dict(hidden_size=6, learning_rate=0.5, momentum=0.0,
-                max_epochs=50, stop_tolerance=0.0, patience=1, seed=7)
+                max_epochs=50, seed=7)
     base.update(overrides)
     return TrainingConfig(**base)
 
@@ -64,8 +64,7 @@ def test_bad_layer_sizes_rejected():
 def test_config_validation():
     for bad in (dict(hidden_size=0), dict(learning_rate=-0.1),
                 dict(momentum=1.0), dict(momentum=-0.1),
-                dict(max_epochs=-1), dict(stop_tolerance=-1e-9),
-                dict(patience=0)):
+                dict(max_epochs=-1), dict(seed=-1)):
         with pytest.raises(ValueError):
             small_config(**bad)
     # Zero learning rate and zero epochs are valid edge settings.
@@ -73,7 +72,7 @@ def test_config_validation():
 
 
 def test_config_rejects_non_finite_hyperparameters():
-    for name in ("learning_rate", "momentum", "stop_tolerance"):
+    for name in ("learning_rate", "momentum"):
         for value in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 small_config(**{name: value})
@@ -210,8 +209,7 @@ def test_train_zero_learning_rate_changes_nothing():
     before = [w.copy() for w in model.weights]
     rng = np.random.Generator(np.random.PCG64(9))
     x, labels = random_samples(rng, 6, 4)
-    ret, history = train(model, x, labels, small_config(learning_rate=0.0,
-                                                        max_epochs=3, patience=50))
+    ret, history = train(model, x, labels, small_config(learning_rate=0.0, max_epochs=3))
     assert ret is model
     assert len(history) == 3
     for w, b in zip(model.weights, before):
@@ -231,9 +229,7 @@ def test_train_memorizes_a_single_sample():
     model = random_model([4, 8, 10], seed=11)
     x = np.array([0.9, 0.1, 0.4, 0.7])
     _, history = train(model, x[None], [3],
-                       small_config(learning_rate=0.8, momentum=0.7,
-                                    max_epochs=500, stop_tolerance=1e-4,
-                                    patience=20))
+                       small_config(learning_rate=0.8, momentum=0.7, max_epochs=500))
     assert predict(model, x) == 3
     assert sample_error(model, x, 3) < 0.01
     assert history[-1] < history[0]
@@ -258,9 +254,7 @@ def test_train_separates_two_clusters():
         rows.append(np.array([0.8, 0.2]) + rng.uniform(-0.05, 0.05, 2))
     x, labels = np.array(rows), np.tile([0, 1], 20)
     model = random_model([2, 6, 10], seed=24)
-    train(model, x, labels, small_config(learning_rate=0.8, momentum=0.7,
-                                         max_epochs=200, stop_tolerance=1e-4,
-                                         patience=20))
+    train(model, x, labels, small_config(learning_rate=0.8, momentum=0.7, max_epochs=200))
     assert all(predict(model, row) == label for row, label in zip(x, labels))
 
 
@@ -310,12 +304,10 @@ def test_momentum_zero_equals_plain_sgd():
 
 def test_train_stops_early_when_error_stalls():
     # Saturated weights make every gradient exactly zero, so the epoch
-    # error never improves and the patience counter must fire.
+    # error never improves and the stop rule must fire.
     model = MlpModel([np.full((3, 5), 800.0), np.full((10, 4), 800.0)])
-    _, history = train(model, np.ones((1, 4)), [3],
-                       small_config(max_epochs=50, stop_tolerance=1e-4,
-                                    patience=2))
-    assert history == [4.5, 4.5, 4.5]  # patience + 1 epochs, then stop
+    _, history = train(model, np.ones((1, 4)), [3], small_config(max_epochs=50))
+    assert history == [4.5] * 21  # PATIENCE + 1 epochs, then stop
 
 
 def test_train_rejects_bad_data():
@@ -327,6 +319,11 @@ def test_train_rejects_bad_data():
         train(pair, np.zeros((2, 4)), [1, 2], small_config(), [np.arange(2), np.arange(0)])
     with pytest.raises(ValueError, match="2 models but 1 arrays of rows"):
         train(pair, np.zeros((2, 4)), [1, 2], small_config(), [np.arange(2)])
+    # Each run's rows index x: -1 would train on the last row without a word.
+    for bad in ([np.array([0, -1]), np.array([1, 2])], [np.array([0, 9]), np.array([1, 2])],
+                [np.array([0.0, 1.0]), np.array([1, 2])]):
+        with pytest.raises(ValueError, match=r"rows must be 1-D arrays of ints in 0\.\.5"):
+            train(pair, np.zeros((6, 4)), [1] * 6, small_config(), bad)
     # rows picks rows for each of a list of models, and a list needs it.
     with pytest.raises(ValueError, match="rows must be given with a list of models"):
         train(model, np.zeros((20, 4)), [1] * 20, small_config(), rows=np.arange(5))
@@ -354,6 +351,42 @@ def test_labels_past_the_output_width_are_rejected(label):
         gradient(narrow, np.zeros(4), label)
     with pytest.raises(DimensionMismatchError):
         sample_error(narrow, np.zeros(4), label)
+
+
+def test_gradient_takes_one_label_per_row():
+    # Unchecked, two labels broadcast over one vector into (2, ...) "gradients".
+    model = random_model([4, 3, 10], seed=5)
+    for x, labels in ((np.zeros(4), [1, 2]), (np.zeros(4), [1]), (np.zeros((2, 4)), 1),
+                      (np.zeros((2, 4)), [1, 2, 3])):
+        with pytest.raises(DimensionMismatchError):
+            gradient(model, x, labels)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 2e6, -2e6])
+def test_features_outside_the_value_limit_are_rejected(value):
+    # One NaN row would make every weight NaN, and a NaN model predicts 0 for everything.
+    model = random_model([4, 3, 10], seed=1)
+    x = np.random.Generator(np.random.PCG64(1)).random((30, 4))
+    x[17, 2] = value
+    labels = np.arange(30) % 10
+    with pytest.raises(DimensionMismatchError, match="non-finite or outside"):
+        train(model, x, labels, small_config())
+    for call in (forward, predict):
+        with pytest.raises(DimensionMismatchError, match="non-finite or outside"):
+            call(model, x[17])
+    with pytest.raises(DimensionMismatchError, match="non-finite or outside"):
+        forward(model, x)
+    with pytest.raises(DimensionMismatchError, match="non-finite or outside"):
+        gradient(model, x[17], 3)
+    with pytest.raises(DimensionMismatchError, match="non-finite or outside"):
+        sample_error(model, x, labels)
+    x[17, 2] = np.copysign(1e6, value)  # the largest magnitude kept
+    _, history = train(model, x, labels, small_config(max_epochs=2))
+    assert len(history) == 2 and all(map(math.isfinite, history))
+    assert np.isfinite(forward(model, x)).all()
+    assert 0 <= predict(model, x[17]) <= 9
+    assert all(np.isfinite(g).all() for g in gradient(model, x[17], 3))
+    assert math.isfinite(sample_error(model, x[17], 3))
 
 
 # ---------------------------------------------------------------------------
@@ -491,12 +524,13 @@ def oracle_train(model, x, labels, config):
             for i, grad in enumerate(grads):
                 velocity[i] = config.momentum * velocity[i] - config.learning_rate * grad
                 model.weights[i] += velocity[i]
-        if history and history[-1] - epoch_error < config.stop_tolerance:
+        # The package's fixed stop rule, written out, so changing it fails the oracles.
+        if history and history[-1] - epoch_error < 1e-4:
             stale += 1
         else:
             stale = 0
         history.append(epoch_error)
-        if stale >= config.patience:
+        if stale >= 20:
             break
     return model, history
 
@@ -532,14 +566,27 @@ def test_two_hidden_layer_bytes_match_the_oracle(tmp_path):
     assert data.features.tobytes() == before.tobytes()
 
 
+def test_training_stops_by_the_fixed_rule():
+    # One sample's error falls smoothly, so the epoch at which its gain first
+    # drops below 1e-4 moves with the tolerance; 20 such epochs end the run.
+    x = np.array([[0.9, 0.1, 0.4, 0.7]])
+    config = TrainingConfig(hidden_size=8, max_epochs=500, seed=7)
+    model, history = train(random_model([4, 8, 10], seed=11), x, [3], config)
+    want, want_history = oracle_train(random_model([4, 8, 10], seed=11), x, [3], config)
+    assert history == want_history
+    assert all((a == b).all() for a, b in zip(model.weights, want.weights))
+    gains = -np.diff(history)
+    assert len(history) < config.max_epochs
+    assert (gains[-20:] < 1e-4).all() and gains[-21] >= 1e-4
+
+
 def test_lockstep_runs_match_the_oracle_run_alone(tmp_path):
     # Cross-validation's stacked loop against oracle_train on each fold by
     # itself. The folds differ in size (130/130/140 samples), so the longer
     # run takes its last steps of every epoch alone, and they stop early at
     # different epochs, so runs leave the stack one by one.
     data = make_toy_dataset(20, 0.05, 3)
-    config = TrainingConfig(hidden_size=20, max_epochs=300, patience=3,
-                            stop_tolerance=0.05, seed=5)
+    config = TrainingConfig(hidden_size=20, max_epochs=300, learning_rate=8.0, seed=5)
     assignments = make_folds(data, 3, config.seed)
     folds = [np.flatnonzero(assignments != f) for f in range(3)]
     seeds = [5, 6, 7]  # train gives run r the seed config.seed + r

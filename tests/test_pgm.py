@@ -73,6 +73,30 @@ def test_write_rejects_a_non_2d_image(tmp_path):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("img", [
+    np.array([[300, 0, 255]]), np.array([[0, -1]], dtype=np.int16), np.array([[-1.0, 0.0]]),
+    np.array([[255.5]]), np.array([[np.nan, 0.0]]), np.array([[np.inf]])])
+def test_write_rejects_samples_outside_0_to_255(tmp_path, img):
+    # A cast to uint8 would write 300 as 44, and -1 as 255: ink as paper.
+    path = tmp_path / "img.pgm"
+    write_pgm(path, np.zeros((1, 1), dtype=np.uint8))
+    before = path.read_bytes()
+    for binary in (True, False):
+        with pytest.raises(PgmError, match="0..255"):
+            write_pgm(path, img, binary=binary)
+        assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["img.pgm"]
+
+
+def test_write_accepts_the_ends_of_the_range_and_bools(tmp_path):
+    path = tmp_path / "img.pgm"
+    for img, want in ((np.array([[0, 255]]), [[0, 255]]), (np.array([[0.0, 255.0]]), [[0, 255]]),
+                      (np.array([[True, False]]), [[1, 0]])):
+        for binary in (True, False):
+            write_pgm(path, img, binary=binary)
+            np.testing.assert_array_equal(read_pgm(path), want)
+
+
 def test_bad_magic(tmp_path):
     path = tmp_path / "img.pgm"
     path.write_text("P6\n1 1\n255\n0\n")
