@@ -1,17 +1,17 @@
-"""A small sigmoid multilayer perceptron trained by online backprop.
+"""A sigmoid perceptron with one hidden layer, trained by online backprop.
 
-One hidden layer, sample-at-a-time weight updates with momentum, and a
-binary on-disk format. Layer sizes are free so the formulas can be
-checked on tiny networks, but the digit pipeline always builds
-76-hidden-10 models with crisp one-of-ten targets. The network math
-takes an optional leading run axis, on which train stacks lockstep runs.
+Sample-at-a-time updates with momentum, and a binary on-disk format. The
+input, hidden and output widths are free so the formulas can be checked
+on tiny networks, but the digit pipeline always builds 76-H-10 models
+with crisp one-of-ten targets. The network math takes an optional
+leading run axis, on which train stacks lockstep runs.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,6 +69,9 @@ class TrainingConfig:
     seed: int = 1
 
     def __post_init__(self):
+        for name in ("hidden_size", "max_epochs", "seed"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError(f"{name} must be an integer")
         if self.hidden_size < 1:
             raise ValueError("hidden_size must be at least 1")
         for name in ("learning_rate", "momentum"):
@@ -83,16 +86,20 @@ class TrainingConfig:
 
 @dataclass
 class MlpModel:
-    """Weights of a fully connected sigmoid network.
+    """Two weight matrices, (H, I+1) from input to hidden and (O, H+1) from
+    hidden to output, I, H, O >= 1: one row per target unit, its bias last."""
+    weights: list[np.ndarray]
 
-    weights[i] maps layer i to layer i+1 and has one row per target
-    unit; the last column of each row is the unit's bias.
-    """
-    weights: list[np.ndarray] = field(default_factory=list)
+    def __post_init__(self):
+        shapes = [np.shape(w) for w in self.weights]
+        if ([len(s) for s in shapes] != [2, 2] or shapes[1][1] != shapes[0][0] + 1
+                or min(shapes[0][0], shapes[0][1] - 1, shapes[1][0]) < 1):
+            raise ShapeMismatchError(
+                f"weight shapes {shapes} are not (H, I+1) and (O, H+1) with I, H, O >= 1")
 
     @property
     def layer_sizes(self) -> list[int]:
-        return [self.input_size] + [w.shape[0] for w in self.weights]
+        return [self.input_size, self.weights[0].shape[0], self.output_size]
 
     @property
     def input_size(self) -> int:
@@ -100,7 +107,7 @@ class MlpModel:
 
     @property
     def output_size(self) -> int:
-        return self.weights[-1].shape[0]
+        return self.weights[1].shape[0]
 
 
 def sigmoid(x):
@@ -111,14 +118,13 @@ def sigmoid(x):
 
 
 def random_model(layer_sizes: list[int], seed: int) -> MlpModel:
-    """Weights drawn uniformly from [-0.5, 0.5] with a seeded PCG64."""
-    if len(layer_sizes) < 2 or any(n < 1 for n in layer_sizes):
-        raise ValueError(f"bad layer sizes {layer_sizes}")
+    """Model of sizes [input, hidden, output], weights uniform in [-0.5, 0.5] by a seeded PCG64."""
+    if len(layer_sizes) != 3:
+        raise ShapeMismatchError(f"layer sizes {layer_sizes} are not [input, hidden, output]")
+    n_in, hidden, n_out = layer_sizes
     rng = np.random.Generator(np.random.PCG64(seed))
-    weights = []
-    for n_in, n_out in zip(layer_sizes, layer_sizes[1:]):
-        weights.append(rng.uniform(-0.5, 0.5, size=(n_out, n_in + 1)))
-    return MlpModel(weights)
+    return MlpModel([rng.uniform(-0.5, 0.5, size=(hidden, n_in + 1)),
+                     rng.uniform(-0.5, 0.5, size=(n_out, hidden + 1))])
 
 
 def init_model(config: TrainingConfig) -> MlpModel:
@@ -151,14 +157,11 @@ def _targets(model: MlpModel, labels, x: np.ndarray) -> np.ndarray:
     return np.eye(model.output_size)[labels]
 
 
-def _layer_inputs(weights: list[np.ndarray],
-                  x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """Each layer's input ending in the bias input 1 (x already does), and the output."""
-    inputs = [x]
-    for w in weights[:-1]:
-        act = sigmoid(np.matmul(w, inputs[-1][..., None])[..., 0])
-        inputs.append(np.concatenate([act, np.ones_like(act[..., :1])], axis=-1))
-    return inputs, sigmoid(np.matmul(weights[-1], inputs[-1][..., None])[..., 0])
+def _layer_inputs(weights: list[np.ndarray], x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The hidden activations ending in the bias input 1 (x already does), and the output."""
+    act = sigmoid(np.matmul(weights[0], x[..., None])[..., 0])
+    hidden = np.concatenate([act, np.ones_like(act[..., :1])], axis=-1)
+    return hidden, sigmoid(np.matmul(weights[1], hidden[..., None])[..., 0])
 
 
 def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
@@ -181,19 +184,15 @@ def _error(out: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 def _backprop(weights: list[np.ndarray], x: np.ndarray,
               target: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """Gradients of E = 0.5 * ||target - output||^2, plus E itself."""
-    inputs, out = _layer_inputs(weights, x)
+    """Gradients of E = 0.5 * ||target - output||^2 for both matrices, plus E itself."""
+    hidden, out = _layer_inputs(weights, x)
     diff, error = _error(out, target)
-    grads: list[np.ndarray] = [np.empty(0)] * len(weights)
-    # Output delta, then walk the layers backward.
-    delta = diff * out * (1.0 - out)
-    for i in range(len(weights) - 1, -1, -1):
-        grads[i] = delta[..., :, None] * inputs[i][..., None, :]
-        if i > 0:
-            act = inputs[i][..., :-1]
-            back = np.matmul(np.swapaxes(weights[i][..., :-1], -1, -2), delta[..., None])
-            delta = back[..., 0] * act * (1.0 - act)
-    return grads, error
+    delta_out = diff * out * (1.0 - out)
+    act = hidden[..., :-1]
+    back = np.matmul(np.swapaxes(weights[1][..., :-1], -1, -2), delta_out[..., None])
+    delta_hidden = back[..., 0] * act * (1.0 - act)
+    return [delta_hidden[..., :, None] * x[..., None, :],
+            delta_out[..., :, None] * hidden[..., None, :]], error
 
 
 def gradient(model: MlpModel, x: np.ndarray, label: int) -> list[np.ndarray]:
@@ -296,13 +295,12 @@ def save_model(path, model: MlpModel) -> None:
     """Write the binary model format.
 
     Little-endian throughout: the 4-byte magic "MLP1", a u32 format
-    version, a u32 layer count, one u32 per layer size, then each
-    weight matrix in row-major float64 with the bias column last.
+    version, a u32 layer count (always 3), the u32 input, hidden and
+    output sizes, then both weight matrices in row-major float64 with
+    the bias column last.
     """
-    sizes = model.layer_sizes
-    parts = [MAGIC, struct.pack(f"<II{len(sizes)}I", FORMAT_VERSION, len(sizes), *sizes)]
-    for w in model.weights:
-        parts.append(np.ascontiguousarray(w, dtype="<f8").tobytes())
+    parts = [MAGIC, struct.pack("<5I", FORMAT_VERSION, 3, *model.layer_sizes)]
+    parts += [np.ascontiguousarray(w, dtype="<f8").tobytes() for w in model.weights]
     with atomic_open(path, "wb") as fh:
         fh.write(b"".join(parts))
 
@@ -327,11 +325,9 @@ def load_model(path) -> MlpModel:
     if version != FORMAT_VERSION:
         raise VersionMismatchError(f"unsupported format version {version}")
     count, = struct.unpack("<I", take(4, "layer count"))
-    if count < 2:
-        raise ShapeMismatchError(f"layer count {count} is too small")
-    sizes = struct.unpack(f"<{count}I", take(4 * count, "layer sizes"))
-    if any(n < 1 for n in sizes):
-        raise ShapeMismatchError(f"zero-sized layer in {sizes}")
+    if count != 3:
+        raise ShapeMismatchError(f"layer count {count}, expected 3: input, hidden, output")
+    sizes = struct.unpack("<3I", take(12, "layer sizes"))
     weights = []
     for n_in, n_out in zip(sizes, sizes[1:]):
         raw = take(8 * n_out * (n_in + 1), "weight matrix")

@@ -92,12 +92,13 @@ def read_pgm(path: str | Path) -> np.ndarray:
 
 
 def write_pgm(path: str | Path, img: np.ndarray, binary: bool = True) -> None:
-    """Write a 2-D image of samples in 0..255 as P5 (binary) or P2 (ASCII)."""
+    """Write a 2-D image of integer samples in 0..255 as P5 (binary) or P2 (ASCII)."""
     img = np.asarray(img)
     if img.ndim != 2:
         raise PgmError(f"expected a 2-D image, got shape {img.shape}")
-    if not ((img >= 0) & (img <= 255)).all():  # NaN too; a cast to uint8 would wrap the rest
-        raise PgmError("image samples must lie in 0..255")
+    # NaN fails too; a cast to uint8 would wrap 300 to 44 and cut 254.7 to 254.
+    if not ((img >= 0) & (img <= 255) & (np.trunc(img) == img)).all():
+        raise PgmError("image samples must be integers in 0..255")
     img = img.astype(np.uint8, copy=False)
     height, width = img.shape
     if binary:

@@ -18,7 +18,7 @@ from digitrec.cli import (_load_dataset, _training_inputs, build_parser, main, p
 from digitrec.evaluation import format_accuracy, make_toy_dataset, toy_glyph
 from digitrec.features import CSV_HEADER, read_features_csv, write_features_csv
 from digitrec.imgproc import DEFAULT_THRESHOLD
-from digitrec.mlp import (TrainingConfig, load_model, predict, random_model, sample_error,
+from digitrec.mlp import (TrainingConfig, load_model, predict, sample_error,
                           save_model)
 from digitrec.pgm import write_pgm
 
@@ -518,18 +518,23 @@ def test_predict_rejects_damaged_model(trained_model, tmp_path, capsys):
 
 @pytest.mark.parametrize("sizes", [[76, 5, 12], [76, 5, 9], [76, 5, 4, 10]])
 def test_predict_needs_ten_outputs(tmp_path, capsys, sizes):
+    # Only a 76-H-10 model gives a digit; a file of two hidden layers is no model at all.
     model = tmp_path / "m.mlp"
-    save_model(model, random_model(sizes, 1))
+    rng = np.random.Generator(np.random.PCG64(1))
+    blob = b"MLP1" + struct.pack(f"<II{len(sizes)}I", 1, len(sizes), *sizes)
+    for n_in, n_out in zip(sizes, sizes[1:]):
+        blob += rng.uniform(-0.5, 0.5, (n_out, n_in + 1)).astype("<f8").tobytes()
+    model.write_bytes(blob)
     image = tmp_path / "sample.pgm"
     write_pgm(image, glyph_pgm(1))
     code = main(["predict", str(model), str(image)])
     out = capsys.readouterr()
-    if sizes[-1] == 10:
-        assert code == 0 and len(out.out.splitlines()[1].split()) == 10
-    else:
-        assert code == 2 and out.out == ""
+    assert code == 2 and out.out == ""
+    if len(sizes) == 3:
         assert out.err.splitlines() == [
             f"digitrec: {model}: model has {sizes[-1]} outputs, expected 10"]
+    else:
+        assert out.err.splitlines() == ["digitrec: layer count 4, expected 3: input, hidden, output"]
 
 
 @pytest.mark.parametrize("layer, cells, value", [(0, (0, 0), np.nan), (1, ..., np.inf)])

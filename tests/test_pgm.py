@@ -75,7 +75,8 @@ def test_write_rejects_a_non_2d_image(tmp_path):
 
 @pytest.mark.parametrize("img", [
     np.array([[300, 0, 255]]), np.array([[0, -1]], dtype=np.int16), np.array([[-1.0, 0.0]]),
-    np.array([[255.5]]), np.array([[np.nan, 0.0]]), np.array([[np.inf]])])
+    np.array([[255.5]]), np.array([[np.nan, 0.0]]), np.array([[np.inf]]),
+    np.array([[254.7, 0.2]])])  # a cast to uint8 would write 254 and 0
 def test_write_rejects_samples_outside_0_to_255(tmp_path, img):
     # A cast to uint8 would write 300 as 44, and -1 as 255: ink as paper.
     path = tmp_path / "img.pgm"
