@@ -71,7 +71,6 @@ def test_model_takes_two_chained_matrices_only(shapes):
     # Unchecked, a three-matrix model ran forward as a 76-5-3-2 network.
     with pytest.raises(ShapeMismatchError):
         MlpModel([np.zeros(shape) for shape in shapes])
-    MlpModel([np.zeros((1, 2)), np.zeros((1, 2))])  # the smallest network, 1-1-1
 
 
 def test_config_validation():
