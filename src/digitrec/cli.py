@@ -169,7 +169,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    model = mlp.load_model(args.model)
+    try:
+        model = mlp.load_model(args.model)
+    except mlp.ModelFormatError as exc:
+        raise DataError(f"{args.model}: {exc}") from exc
     if model.output_size != mlp.OUTPUT_SIZE:
         raise DataError(f"{args.model}: model has {model.output_size} outputs, "
                         f"expected {mlp.OUTPUT_SIZE}")

@@ -42,17 +42,16 @@ runs are traced across the full image and keep any length they gain
 outside the region. The per-line maxima are summed over the region's
 lines and the sum is divided by 1024.
 
-All three families are computed from tables fixed at import and
-array operations: shadows OR together per-pixel one-hot cell masks,
-and centroids are bincounts over the octant map. For longest runs one
-builder lays the scan lines end to end as flat pixel indices, each
-followed by an off-raster -1, and cuts the cells inside each window
-into one contiguous segment per line: 846 (region, direction, line)
-segments over the 190 lines of the 32x32 raster. One reduction gathers
-the raster into 0/1 lines, whose run edges alternate start, stop,
-gives each ink cell its run's length and takes each segment's maximum
-with maximum.reduceat; add.reduceat then sums the regions.
-longest_runs_by_line runs the same two functions on its one window.
+All three families are array operations on the flat ink vector and
+tables fixed at import. Shadows OR per-pixel cell masks, four sides to
+a 64-bit word, and count the marked cells. Centroids are one product of
+the ink with each pixel's 1, row and col in its octant's columns; every
+sum is an integer below 2**53, so they are exact on any BLAS kernel.
+Longest runs gather the raster into its 190 scan lines, laid end to end
+with an off-raster cell after each, give each ink cell its run's length,
+take the maximum of each of the 846 (region, direction, line) segments
+through a table of their cells, and sum the regions with add.reduceat;
+longest_runs_by_line does the same on its one window.
 """
 
 from __future__ import annotations
@@ -83,15 +82,17 @@ _CELLS = 16
 _HALF = GRID // 2
 
 
-def _build_octant_tables() -> tuple[np.ndarray, np.ndarray]:
-    """The (32, 32) octant map and the (1024, 24) shadow table.
+def _build_octant_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (32, 32) octant map, the shadow table and the centroid table.
 
     The shadow table holds, per pixel and octant side, a 16-bit mask
     with the bit of the cell holding the pixel's foot on that side set,
     or 0 where the pixel casts no shadow into that octant. Sides run
     octant-major in the order perimeter half-edge (from the center-line
     end toward the corner), center-line segment and diagonal segment,
-    the last two from the center outward.
+    the last two from the center outward. It is returned as (6, 1024)
+    64-bit words of four masks each. The (1024, 24) centroid table holds
+    each pixel's 1, row and col in columns 3k..3k + 2 of its octant k.
     """
     row, col = np.divmod(np.arange(GRID * GRID), GRID)
     dx = (col + 0.5) - _CENTER
@@ -120,10 +121,12 @@ def _build_octant_tables() -> tuple[np.ndarray, np.ndarray]:
     t = ((dx[pix] - ax) * vx + (dy[pix] - ay) * vy) / (vx * vx + vy * vy)
     shadow = np.zeros((GRID * GRID, SHADOW_COUNT), dtype=np.uint16)
     shadow[pix, side] = 1 << np.clip(np.floor(_CELLS * t), 0, _CELLS - 1).astype(int)
-    return octant.reshape(GRID, GRID).astype(np.int8), shadow
+    centroid = (octant[:, None] == k)[..., None] * np.c_[np.ones(GRID * GRID), row, col][:, None]
+    return (octant.reshape(GRID, GRID).astype(np.int8), shadow.view(np.uint64).T.copy(),
+            centroid.reshape(GRID * GRID, 3 * 8))
 
 
-_OCTANT_MAP, _SHADOW_TABLE = _build_octant_tables()
+_OCTANT_MAP, _SHADOW_WORDS, _CENTROID_TABLE = _build_octant_tables()
 
 
 def octant_of(row: int, col: int) -> int:
@@ -141,9 +144,9 @@ def _line_segments(h: int, w: int, windows) -> tuple[np.ndarray, ...]:
     row + col order (diagonals walked by row), each followed by one
     off-raster cell. windows holds ((r0, r1), (c0, c1)) pairs, ends
     inclusive. Returns the flat raster index of each line cell (-1 off
-    the raster), the line positions of the cells inside each window,
-    window-major, the segment starts among them and the starts of each
-    (window, direction) group of segments.
+    the raster); a table of the line positions of each segment's cells,
+    one column per segment, window-major, padded with the off-raster last
+    line cell; and the starts of each (window, direction) group.
     """
     line, pos = np.ogrid[:h + w - 1, :max(h, w) + 1]
     row = np.stack(np.broadcast_arrays(line, pos, pos, pos))
@@ -157,24 +160,26 @@ def _line_segments(h: int, w: int, windows) -> tuple[np.ndarray, ...]:
     # Line ends lie off the raster, so consecutive inside cells share a line.
     index = np.flatnonzero(inside)
     window, cells = np.divmod(index, flat.size)
-    seg = np.flatnonzero(np.diff(index, prepend=-2) != 1)
+    starts = np.diff(index, prepend=-2) != 1
+    seg, segment = np.flatnonzero(starts), np.cumsum(starts) - 1
     group = np.flatnonzero(np.diff(4 * window[seg] + direction[cells[seg]], prepend=-1))
-    return flat, cells, seg, group
+    # One segment per column: a maximum down axis 0 ran 2.6x as fast as along axis 1.
+    rank = np.arange(index.size) - seg[segment]
+    table = np.full((rank.max() + 1, seg.size), flat.size - 1)
+    table[rank, segment] = cells
+    return flat, table, group
 
 
-def _line_maxima(ink: np.ndarray, flat: np.ndarray, cells: np.ndarray,
-                 seg_starts: np.ndarray) -> np.ndarray:
+def _line_maxima(ink: np.ndarray, flat: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Longest ink run touching each segment, runs traced along whole lines."""
-    line = np.append(ink.ravel(), False)[flat]
-    # Lines end blank, so no run crosses a line end and edges alternate start, stop.
-    edges = np.flatnonzero(np.diff(line, prepend=False))
-    length = edges[1::2] - edges[::2]
-    runs = np.zeros(line.shape, dtype=flat.dtype)
-    runs[line] = np.repeat(length, length)
-    return np.maximum.reduceat(runs[cells], seg_starts)
+    line = np.append(ink.ravel(), False).take(flat)
+    # Runs of ink or blank start at cell 0 and at each change; lines end blank.
+    starts = np.flatnonzero(line != np.append(~line[0], line[:-1]))
+    length = np.diff(starts, append=line.size)
+    return np.repeat(length * line[starts], length).take(table).max(axis=0)
 
 
-_LINE_FLAT, _SEGMENT_CELLS, _SEGMENT_STARTS, _GROUP_STARTS = _line_segments(
+_LINE_FLAT, _SEGMENT_TABLE, _GROUP_STARTS = _line_segments(
     GRID, GRID, [((r, r + _HALF - 1), (c, c + _HALF - 1)) for r in (0, 8, 16) for c in (0, 8, 16)])
 
 
@@ -182,28 +187,23 @@ def _check_canonical(img: np.ndarray) -> np.ndarray:
     img = np.asarray(img)
     if img.shape != (GRID, GRID):
         raise ValueError(f"expected a {GRID}x{GRID} raster, got shape {img.shape}")
-    if img.min(initial=0) < 0 or img.max(initial=0) > 1:
+    ink = img.astype(bool, copy=False)
+    if ink is not img and not (ink == img).all():  # a bool raster is 0/1 by its type
         raise ValueError("expected a 0/1 binary raster")
-    return img.astype(bool)
+    return ink
 
 
 def shadow_features(img: np.ndarray) -> np.ndarray:
     """24 projection-coverage values, octant-major, sides in the order
     (perimeter, center line, diagonal)."""
-    ink = _check_canonical(img).ravel()
-    marked = np.bitwise_or.reduce(_SHADOW_TABLE[ink], axis=0)
-    bits = np.unpackbits(marked.view(np.uint8)).reshape(SHADOW_COUNT, _CELLS)
-    return bits.sum(axis=1) / _CELLS
+    words = _SHADOW_WORDS.compress(_check_canonical(img).ravel(), axis=1)
+    return np.bitwise_count(np.bitwise_or.reduce(words, axis=1).view(np.uint16)) / _CELLS
 
 
 def centroid_features(img: np.ndarray) -> np.ndarray:
     """16 values: (mean row, mean col) / 31 per octant, 0s when empty."""
-    pixels = np.flatnonzero(_check_canonical(img))
-    octs = _OCTANT_MAP.ravel()[pixels]
-    rows, cols = np.divmod(pixels, GRID)
-    sums = np.stack([np.bincount(octs, rows, 8), np.bincount(octs, cols, 8)], axis=1)
-    counts = np.maximum(np.bincount(octs, minlength=8), 1)
-    return (sums / counts[:, None]).ravel() / (GRID - 1)
+    sums = (_check_canonical(img).ravel().astype(np.float64) @ _CENTROID_TABLE).reshape(8, 3)
+    return (sums[:, 1:] / np.maximum(sums[:, :1], 1)).ravel() / (GRID - 1)
 
 
 def longest_runs_by_line(img: np.ndarray, rows: tuple[int, int],
@@ -225,8 +225,8 @@ def longest_runs_by_line(img: np.ndarray, rows: tuple[int, int],
         raise ValueError(f"window {rows}x{cols} outside a {h}x{w} raster")
     if direction not in DIRECTIONS:
         raise ValueError(f"unknown direction {direction!r}")
-    flat, cells, seg, group = _line_segments(h, w, [(rows, cols)])
-    best = _line_maxima(img != 0, flat, cells, seg)
+    flat, table, group = _line_segments(h, w, [(rows, cols)])
+    best = _line_maxima(img != 0, flat, table)
     return np.split(best, group[1:])[DIRECTIONS.index(direction)].tolist()
 
 
@@ -237,17 +237,14 @@ def longest_run_features(img: np.ndarray) -> np.ndarray:
     in row-major order; directions follow DIRECTIONS. Each sum is
     divided by 1024.
     """
-    best = _line_maxima(_check_canonical(img), _LINE_FLAT, _SEGMENT_CELLS, _SEGMENT_STARTS)
+    best = _line_maxima(_check_canonical(img), _LINE_FLAT, _SEGMENT_TABLE)
     return np.add.reduceat(best, _GROUP_STARTS) / (GRID * GRID)
 
 
 def extract_features(img: np.ndarray) -> np.ndarray:
     """Full 76-element vector: shadows, centroids, longest runs."""
-    return np.concatenate([
-        shadow_features(img),
-        centroid_features(img),
-        longest_run_features(img),
-    ])
+    ink = _check_canonical(img)  # bool: each family's own check then tests the shape only
+    return np.concatenate([shadow_features(ink), centroid_features(ink), longest_run_features(ink)])
 
 
 def digit_labels(labels, count: int) -> np.ndarray:

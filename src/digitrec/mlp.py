@@ -59,8 +59,8 @@ class ShapeMismatchError(ModelFormatError):
 class TrainingConfig:
     """Hyperparameters for init_model and train.
 
-    seed drives every random choice (weight init and the per-epoch
-    shuffle), so a config fully determines the trained model.
+    seed drives every random choice (weight init and the per-epoch shuffle),
+    so a config determines the model on one numpy build and BLAS kernel.
     """
     hidden_size: int = 65
     learning_rate: float = 0.8

@@ -507,11 +507,15 @@ def test_predict_recovers_training_labels(trained_model, tmp_path, capsys):
 
 
 def test_predict_rejects_damaged_model(trained_model, tmp_path, capsys):
-    stub = tmp_path / "cut.mlp"
-    stub.write_bytes(trained_model.read_bytes()[:40])
+    # A model-format error names the model file, as an image error names the image.
     image = tmp_path / "sample.pgm"
     write_pgm(image, glyph_pgm(1))
-    assert main(["predict", str(stub), str(image)]) == 2
+    stub = tmp_path / "cut.mlp"
+    for size, message in [(40, "file ends inside weight matrix"), (4, "file ends inside version")]:
+        stub.write_bytes(trained_model.read_bytes()[:size])
+        assert main(["predict", str(stub), str(image)]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.splitlines() == [f"digitrec: {stub}: {message}"]
     assert main(["predict", str(trained_model), str(tmp_path / "no.pgm")]) == 2
     capsys.readouterr()
 
@@ -534,7 +538,8 @@ def test_predict_needs_ten_outputs(tmp_path, capsys, sizes):
         assert out.err.splitlines() == [
             f"digitrec: {model}: model has {sizes[-1]} outputs, expected 10"]
     else:
-        assert out.err.splitlines() == ["digitrec: layer count 4, expected 3: input, hidden, output"]
+        assert out.err.splitlines() == [
+            f"digitrec: {model}: layer count 4, expected 3: input, hidden, output"]
 
 
 @pytest.mark.parametrize("layer, cells, value", [(0, (0, 0), np.nan), (1, ..., np.inf)])
@@ -549,7 +554,7 @@ def test_predict_rejects_a_model_with_non_finite_weights(trained_model, tmp_path
     assert main(["predict", str(bad), str(image)]) == 2
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err.splitlines() == [f"digitrec: weight outside [-1e6, 1e6] in layer {layer + 1}"]
+    assert out.err.splitlines() == [f"digitrec: {bad}: weight outside [-1e6, 1e6] in layer {layer + 1}"]
 
 
 _WEIGHT_TOKENS = (st.sampled_from([struct.pack("<d", v) for v in

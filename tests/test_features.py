@@ -462,22 +462,32 @@ def test_toy_corpus_features_are_pinned():
 # ---------------------------------------------------------------------------
 # Assembled vector and CSV round trip
 
-def test_extract_concatenates_the_three_families():
-    rng = np.random.Generator(np.random.PCG64(19))
-    img = random_raster(rng)
+@settings(deadline=None)
+@given(rasters)
+def test_extract_concatenates_the_three_families(img):
     vec = extract_features(img)
-    assert vec.shape == (FEATURE_COUNT,)
-    np.testing.assert_array_equal(vec[:24], shadow_features(img))
-    np.testing.assert_array_equal(vec[24:40], centroid_features(img))
-    np.testing.assert_array_equal(vec[40:], longest_run_features(img))
-    assert (vec >= 0).all() and (vec <= 1).all()
+    assert vec.shape == (FEATURE_COUNT,) and ((0 <= vec) & (vec <= 1)).all()
+    np.testing.assert_array_equal(vec, np.concatenate(
+        [shadow_features(img), centroid_features(img), longest_run_features(img)]))
+    # The same 0/1 raster in any dtype gives the same bits.
+    for dtype in (bool, np.int64, np.float64):
+        assert extract_features(img.astype(dtype)).tobytes() == vec.tobytes()
 
 
 def test_extract_rejects_wrong_shape_and_values():
-    with pytest.raises(ValueError):
-        extract_features(np.zeros((16, 16), dtype=np.uint8))
-    with pytest.raises(ValueError):
-        extract_features(np.full((GRID, GRID), 2, dtype=np.uint8))
+    for family in (extract_features, shadow_features, centroid_features, longest_run_features):
+        with pytest.raises(ValueError, match="32x32"):
+            family(np.zeros((16, 16), dtype=np.uint8))
+        with pytest.raises(ValueError, match="32x32"):
+            family(np.zeros((GRID, GRID, 1), dtype=bool))
+        # Any value but 0 and 1 is refused: NaN, 0.5 and 1e-9 would all read as ink.
+        for value in (2, -1, 0.5, 1e-9, np.nextafter(1, 0), np.nan, np.inf):
+            img = np.zeros((GRID, GRID))
+            img[5, 7] = value
+            with pytest.raises(ValueError, match="0/1 binary"):
+                family(img)
+            with pytest.raises(ValueError, match="0/1 binary"):
+                family(np.full((GRID, GRID), value))
 
 
 def test_feature_csv_roundtrip_is_exact(tmp_path):
