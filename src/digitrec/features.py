@@ -183,14 +183,19 @@ _LINE_FLAT, _SEGMENT_TABLE, _GROUP_STARTS = _line_segments(
     GRID, GRID, [((r, r + _HALF - 1), (c, c + _HALF - 1)) for r in (0, 8, 16) for c in (0, 8, 16)])
 
 
-def _check_canonical(img: np.ndarray) -> np.ndarray:
-    img = np.asarray(img)
-    if img.shape != (GRID, GRID):
-        raise ValueError(f"expected a {GRID}x{GRID} raster, got shape {img.shape}")
+def _binary(img: np.ndarray) -> np.ndarray:
+    """The raster as bool, or ValueError unless every value is 0 or 1 (NaN is not)."""
     ink = img.astype(bool, copy=False)
     if ink is not img and not (ink == img).all():  # a bool raster is 0/1 by its type
         raise ValueError("expected a 0/1 binary raster")
     return ink
+
+
+def _check_canonical(img: np.ndarray) -> np.ndarray:
+    img = np.asarray(img)
+    if img.shape != (GRID, GRID):
+        raise ValueError(f"expected a {GRID}x{GRID} raster, got shape {img.shape}")
+    return _binary(img)
 
 
 def shadow_features(img: np.ndarray) -> np.ndarray:
@@ -226,7 +231,7 @@ def longest_runs_by_line(img: np.ndarray, rows: tuple[int, int],
     if direction not in DIRECTIONS:
         raise ValueError(f"unknown direction {direction!r}")
     flat, table, group = _line_segments(h, w, [(rows, cols)])
-    best = _line_maxima(img != 0, flat, table)
+    best = _line_maxima(_binary(img), flat, table)
     return np.split(best, group[1:])[DIRECTIONS.index(direction)].tolist()
 
 

@@ -60,7 +60,7 @@ class TrainingConfig:
     """Hyperparameters for init_model and train.
 
     seed drives every random choice (weight init and the per-epoch shuffle),
-    so a config determines the model on one numpy build and BLAS kernel.
+    so a config determines the model on one numpy build and SIMD level.
     """
     hidden_size: int = 65
     learning_rate: float = 0.8
@@ -140,10 +140,7 @@ def _biased_input(model: MlpModel, x: np.ndarray) -> np.ndarray:
             f"features of shape {x.shape} do not fit input size {model.input_size}")
     if not np.abs(x).max(initial=0.0) <= VALUE_LIMIT:  # NaN too, which would make NaN weights
         raise DimensionMismatchError("feature value non-finite or outside [-1e6, 1e6]")
-    biased = np.empty(x.shape[:-1] + (model.input_size + 1,))
-    biased[..., :-1] = x
-    biased[..., -1] = 1.0
-    return biased
+    return np.concatenate([x, np.ones_like(x[..., :1])], axis=-1)
 
 
 def _targets(model: MlpModel, labels, x: np.ndarray) -> np.ndarray:
@@ -159,9 +156,9 @@ def _targets(model: MlpModel, labels, x: np.ndarray) -> np.ndarray:
 
 def _layer_inputs(weights: list[np.ndarray], x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The hidden activations ending in the bias input 1 (x already does), and the output."""
-    act = sigmoid(np.matmul(weights[0], x[..., None])[..., 0])
+    act = sigmoid(np.einsum("...hk,...k->...h", weights[0], x))  # einsum calls no BLAS kernel
     hidden = np.concatenate([act, np.ones_like(act[..., :1])], axis=-1)
-    return hidden, sigmoid(np.matmul(weights[1], hidden[..., None])[..., 0])
+    return hidden, sigmoid(np.einsum("...oh,...h->...o", weights[1], hidden))
 
 
 def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
@@ -179,7 +176,7 @@ def predict(model: MlpModel, x: np.ndarray) -> int:
 def _error(out: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """out - target, and E = 0.5 * ||out - target||^2 per run of the leading axis."""
     diff = out - target
-    return diff, 0.5 * np.matmul(diff[..., None, :], diff[..., :, None])[..., 0, 0]
+    return diff, 0.5 * np.einsum("...o,...o->...", diff, diff)
 
 
 def _backprop(weights: list[np.ndarray], x: np.ndarray,
@@ -189,8 +186,7 @@ def _backprop(weights: list[np.ndarray], x: np.ndarray,
     diff, error = _error(out, target)
     delta_out = diff * out * (1.0 - out)
     act = hidden[..., :-1]
-    back = np.matmul(np.swapaxes(weights[1][..., :-1], -1, -2), delta_out[..., None])
-    delta_hidden = back[..., 0] * act * (1.0 - act)
+    delta_hidden = np.einsum("...oh,...o->...h", weights[1][..., :-1], delta_out) * act * (1.0 - act)
     return [delta_hidden[..., :, None] * x[..., None, :],
             delta_out[..., :, None] * hidden[..., None, :]], error
 
@@ -278,10 +274,7 @@ def train(model: MlpModel | list[MlpModel], x: np.ndarray, labels, config: Train
             for mw, w in zip(models[r].weights, weights):
                 mw[...] = w[a]
             error, history = float(epoch_error[a]), histories[r]
-            if history and history[-1] - error < STOP_TOLERANCE:
-                stale[r] += 1
-            else:
-                stale[r] = 0
+            stale[r] = stale[r] + 1 if history and history[-1] - error < STOP_TOLERANCE else 0
             history.append(error)
         keep = [a for a, r in enumerate(runs) if stale[r] < PATIENCE]
         runs = [runs[a] for a in keep]
@@ -291,14 +284,21 @@ def train(model: MlpModel | list[MlpModel], x: np.ndarray, labels, config: Train
     return model, histories[0] if one else histories
 
 
+def _check_weights(weights: list[np.ndarray]) -> None:
+    for layer, w in enumerate(weights, 1):
+        if not (np.abs(w) <= VALUE_LIMIT).all():  # NaN too; keeps forward finite
+            raise ModelFormatError(f"weight outside [-1e6, 1e6] in layer {layer}")
+
+
 def save_model(path, model: MlpModel) -> None:
-    """Write the binary model format.
+    """Write the binary model format, or ModelFormatError if load_model would reject a weight.
 
     Little-endian throughout: the 4-byte magic "MLP1", a u32 format
     version, a u32 layer count (always 3), the u32 input, hidden and
     output sizes, then both weight matrices in row-major float64 with
     the bias column last.
     """
+    _check_weights(model.weights)
     parts = [MAGIC, struct.pack("<5I", FORMAT_VERSION, 3, *model.layer_sizes)]
     parts += [np.ascontiguousarray(w, dtype="<f8").tobytes() for w in model.weights]
     with atomic_open(path, "wb") as fh:
@@ -314,9 +314,8 @@ def load_model(path) -> MlpModel:
         nonlocal offset
         if offset + n > len(data):
             raise TruncatedStreamError(f"file ends inside {what}")
-        chunk = data[offset:offset + n]
         offset += n
-        return chunk
+        return data[offset - n:offset]
 
     offset = 0
     if take(4, "magic") != MAGIC:
@@ -332,8 +331,7 @@ def load_model(path) -> MlpModel:
     for n_in, n_out in zip(sizes, sizes[1:]):
         raw = take(8 * n_out * (n_in + 1), "weight matrix")
         weights.append(np.frombuffer(raw, dtype="<f8").reshape(n_out, n_in + 1).copy())
-        if not (np.abs(weights[-1]) <= VALUE_LIMIT).all():  # NaN too; keeps forward finite
-            raise ModelFormatError(f"weight outside [-1e6, 1e6] in layer {len(weights)}")
+    _check_weights(weights)
     if offset != len(data):
         raise ShapeMismatchError(f"{len(data) - offset} trailing bytes after weights")
     return MlpModel(weights)

@@ -18,8 +18,7 @@ from digitrec.cli import (_load_dataset, _training_inputs, build_parser, main, p
 from digitrec.evaluation import format_accuracy, make_toy_dataset, toy_glyph
 from digitrec.features import CSV_HEADER, read_features_csv, write_features_csv
 from digitrec.imgproc import DEFAULT_THRESHOLD
-from digitrec.mlp import (TrainingConfig, load_model, predict, sample_error,
-                          save_model)
+from digitrec.mlp import TrainingConfig, load_model, predict, sample_error
 from digitrec.pgm import write_pgm
 
 
@@ -219,6 +218,24 @@ def test_train_prints_the_per_sample_sse_and_accuracy(tmp_path, capsys):
     assert 0 < hits < len(data)
     accuracy = format_accuracy(100.0 * hits / len(data))
     assert capsys.readouterr().out == f"sse {sse:.6f}\naccuracy {accuracy}\n"
+
+
+def test_train_writes_no_model_that_load_model_would_reject(tmp_path, capsys):
+    # At a learning rate of 1e9 the weights leave [-1e6, 1e6]. Unchecked,
+    # train exited 0 with a model file that predict then refused.
+    data = make_toy_dataset(per_class=3, noise=0.05, seed=1)
+    csv = tmp_path / "toy.csv"
+    write_features_csv(csv, data.labels, data.features)
+    old = tmp_path / "old.mlp"
+    old.write_bytes(b"an earlier model")
+    for path in (tmp_path / "new.mlp", old):
+        assert main(["train", str(csv), "--model-out", str(path), "--lr", "1e9",
+                     "--epochs", "30", "--hidden", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "digitrec: weight outside [-1e6, 1e6] in layer 1\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["old.mlp", "toy.csv"]
+    assert old.read_bytes() == b"an earlier model"
 
 
 def test_train_and_crossval_leave_numpy_ma_unimported(feature_csv, tmp_path):
@@ -548,7 +565,9 @@ def test_predict_rejects_a_model_with_non_finite_weights(trained_model, tmp_path
     model = load_model(trained_model)
     model.weights[layer][cells] = value
     bad = tmp_path / "bad.mlp"
-    save_model(bad, model)
+    # save_model refuses such weights, so the file is its 24-byte header and the weights.
+    bad.write_bytes(trained_model.read_bytes()[:24]
+                    + b"".join(w.astype("<f8").tobytes() for w in model.weights))
     image = tmp_path / "sample.pgm"
     write_pgm(image, glyph_pgm(1))
     assert main(["predict", str(bad), str(image)]) == 2

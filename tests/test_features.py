@@ -378,6 +378,11 @@ def test_runs_by_line_rejects_bad_arguments():
         longest_runs_by_line(img, (0, 15), (0, 15), "spiral")
     with pytest.raises(ValueError, match="2-D"):
         longest_runs_by_line(img[None], (0, 15), (0, 15), "row")
+    # Unchecked, any nonzero value was read as ink: all NaN gave [4, 4, 4, 4].
+    for value in (np.nan, 0.5, np.inf, 2):
+        for bad in (np.full((4, 4), value), np.where(np.eye(4), value, 0)):
+            with pytest.raises(ValueError, match="0/1 binary"):
+                longest_runs_by_line(bad, (0, 3), (0, 3), "row")
 
 
 # ---------------------------------------------------------------------------

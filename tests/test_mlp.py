@@ -1,5 +1,9 @@
 import math
+import os
+import platform
 import struct
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import digitrec
 from digitrec.evaluation import make_folds, make_toy_dataset
 from digitrec.mlp import (INPUT_SIZE, OUTPUT_SIZE, BadMagicError,
                           DimensionMismatchError, EmptyDatasetError,
@@ -306,14 +311,15 @@ def test_momentum_zero_equals_plain_sgd():
         for idx in order_rng.permutation(len(x)):
             acts = [np.asarray(x[idx], dtype=float)]
             for w in oracle:
-                acts.append(sigmoid(w @ np.concatenate([acts[-1], [1.0]])))
+                acts.append(sigmoid(np.einsum("hk,k->h", w, np.concatenate([acts[-1], [1.0]]))))
             target = np.zeros(10)
             target[labels[idx]] = 1.0
             delta = (acts[-1] - target) * acts[-1] * (1.0 - acts[-1])
             for i in range(len(oracle) - 1, -1, -1):
                 grad = np.outer(delta, np.concatenate([acts[i], [1.0]]))
                 if i > 0:
-                    delta = (oracle[i][:, :-1].T @ delta) * acts[i] * (1.0 - acts[i])
+                    back = np.einsum("oh,o->h", oracle[i][:, :-1], delta)
+                    delta = back * acts[i] * (1.0 - acts[i])
                 oracle[i] = oracle[i] - config.learning_rate * grad
 
     for w, o in zip(model.weights, oracle):
@@ -465,9 +471,16 @@ def test_load_rejects_non_finite_and_huge_weights(tmp_path, layer, cells, value)
     model = random_model([INPUT_SIZE, 5, OUTPUT_SIZE], seed=3)
     model.weights[layer][cells] = value
     path = tmp_path / "bad.mlp"
-    save_model(path, model)
+    path.write_bytes(stream(model.layer_sizes, model.weights))
     with pytest.raises(ModelFormatError, match=f"layer {layer + 1}"):
         load_model(path)
+    # The writer keeps the reader's rule: no file is written, and the old one stays.
+    with pytest.raises(ModelFormatError, match=f"layer {layer + 1}"):
+        save_model(path, model)
+    with pytest.raises(ModelFormatError, match=f"layer {layer + 1}"):
+        save_model(tmp_path / "new.mlp", model)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.mlp"]
+    assert path.read_bytes() == stream(model.layer_sizes, model.weights)
     model.weights[layer][cells] = 1e6  # the largest magnitude kept
     save_model(path, model)
     assert load_model(path).weights[layer].max() == 1e6
@@ -511,7 +524,7 @@ def oracle_activations(model, x):
     acts = [x]
     for w in model.weights:
         biased = np.concatenate([acts[-1], [1.0]])
-        acts.append(sigmoid(w @ biased))
+        acts.append(sigmoid(np.einsum("hk,k->h", w, biased)))
     return acts
 
 
@@ -520,14 +533,14 @@ def oracle_backprop(model, x, label):
     target = np.zeros(model.output_size)
     target[label] = 1.0
     diff = target - acts[-1]
-    error = 0.5 * float(diff @ diff)
+    error = 0.5 * float(np.einsum("o,o->", diff, diff))
     grads = [np.empty(0)] * len(model.weights)
     delta = (acts[-1] - target) * acts[-1] * (1.0 - acts[-1])
     for i in range(len(model.weights) - 1, -1, -1):
         biased = np.concatenate([acts[i], [1.0]])
         grads[i] = np.outer(delta, biased)
         if i > 0:
-            back = model.weights[i][:, :-1].T @ delta
+            back = np.einsum("oh,o->h", model.weights[i][:, :-1], delta)
             delta = back * acts[i] * (1.0 - acts[i])
     return grads, error
 
@@ -557,8 +570,9 @@ def oracle_train(model, x, labels, config):
 
 
 def test_trained_model_bytes_match_the_oracle(tmp_path):
-    # Compared with an oracle run rather than a pinned digest: the BLAS
-    # kernels behind the matrix products may differ between CPUs.
+    # Compared with an oracle run rather than a pinned digest: the bytes are
+    # pinned for one numpy build only, and np.exp rounds differently at
+    # numpy's AVX-512 level than below it.
     data = make_toy_dataset(3, 0.05, 11)
     before = data.features.copy()
     config = TrainingConfig(hidden_size=7, max_epochs=25, seed=3)
@@ -608,3 +622,44 @@ def test_lockstep_runs_match_the_oracle_run_alone(tmp_path):
         save_model(tmp_path / "want.mlp", want)
         assert history == want_history
         assert (tmp_path / "got.mlp").read_bytes() == (tmp_path / "want.mlp").read_bytes()
+
+
+# Three lockstep runs and one run alone; `out` names the directory to write to.
+KERNEL_SCRIPT = """
+from dataclasses import replace
+from pathlib import Path
+import numpy as np
+from digitrec.evaluation import make_folds, make_toy_dataset
+from digitrec.mlp import TrainingConfig, init_model, save_model, train
+data = make_toy_dataset(5, 0.05, 42)
+config = TrainingConfig(hidden_size=20, max_epochs=10, seed=1)
+folds = [np.flatnonzero(make_folds(data, 3, 1) != f) for f in range(3)]
+models, histories = train([init_model(replace(config, seed=1 + r)) for r in range(3)],
+                          data.features, data.labels, config, folds)
+model, history = train(init_model(config), data.features, data.labels, config)
+for i, m in enumerate(models + [model]):
+    save_model(Path(out) / f"{i}.mlp", m)
+histories.append(history)
+"""
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="the OpenBLAS core types named are x86-64 ones")
+@pytest.mark.parametrize("core", ["Nehalem", "Sandybridge"])
+def test_model_bytes_do_not_depend_on_the_openblas_kernel(tmp_path, core):
+    # OpenBLAS picks its kernel from the CPU at run time, and any x86-64 CPU
+    # runs these two. The variable is set in the child's environment only.
+    here, there = tmp_path / "here", tmp_path / core
+    here.mkdir()
+    there.mkdir()
+    run = {"out": str(here)}
+    exec(KERNEL_SCRIPT, run)
+    src = os.path.dirname(os.path.dirname(digitrec.__file__))
+    result = subprocess.run(
+        [sys.executable, "-c", f"out = {str(there)!r}\n{KERNEL_SCRIPT}print(histories)"],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src, OPENBLAS_CORETYPE=core))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == f"{run['histories']}\n"
+    for i in range(4):
+        assert (there / f"{i}.mlp").read_bytes() == (here / f"{i}.mlp").read_bytes()
