@@ -80,16 +80,15 @@ def load_corpus(root: str | Path, threshold: int | None,
                 invert: bool) -> tuple[evaluation.Dataset, list[str]]:
     """Read a directory tree of PGMs into a feature dataset.
 
-    The root holds one subdirectory per class, named 0..9. Files are
-    visited in sorted order. Images with no ink are skipped with a
-    warning and returned in the second element; any other unreadable
-    file aborts.
+    The root holds one subdirectory per class, named exactly 0..9;
+    other entries are ignored. Files are visited in sorted order. Images
+    with no ink are skipped with a warning and returned in the second
+    element; any other unreadable file aborts.
     """
     root = Path(root)
     if not root.is_dir():
         raise DataError(f"corpus root {root} is not a directory")
-    class_dirs = [d for d in sorted(root.iterdir())
-                  if d.is_dir() and d.name.isdigit() and len(d.name) == 1]
+    class_dirs = [d for d in sorted(root.iterdir()) if d.is_dir() and d.name in set("0123456789")]
     if not class_dirs:
         raise DataError(f"no class directories 0..9 under {root}")
     rows: list[np.ndarray] = []
@@ -200,8 +199,8 @@ def cmd_crossval(args) -> int:
 
 def cmd_sweep(args) -> int:
     config, data = _training_inputs(args)
-    rows, best = evaluation.sweep_hidden(data, args.sizes, config, args.folds)
-    evaluation.write_sweep_csv(args.report_out, rows)
+    reports, best = evaluation.sweep_hidden(data, args.sizes, config, args.folds)
+    evaluation.write_sweep_csv(args.report_out, reports)
     print(f"wrote {args.report_out}", file=sys.stderr)
     print(f"selected {best}")
     return 0

@@ -142,25 +142,19 @@ def cross_validate(data: Dataset, config: TrainingConfig, k: int = 3,
 
 def sweep_hidden(data: Dataset, sizes: list[int], config: TrainingConfig,
                  k: int = 3, evaluate=cross_validate
-                 ) -> tuple[list[tuple[int, list[float], float]], int]:
+                 ) -> tuple[dict[int, EvaluationReport], int]:
     """Cross-validate once per hidden size and pick the best.
 
-    sizes must be ascending. Returns the result table as
-    (size, per-fold accuracies, mean) rows plus the selected size:
-    highest mean accuracy, ties going to the smaller network.
+    sizes must be ascending. Returns each size's report, in size order,
+    and the selected size: highest mean accuracy, ties going to the
+    smaller network.
     """
     if not sizes:
         raise ValueError("no hidden sizes to sweep")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError(f"hidden sizes must be ascending, got {sizes}")
-    rows = []
-    best_size, best_mean = None, -1.0
-    for size in sizes:
-        report = evaluate(data, replace(config, hidden_size=size), k)
-        rows.append((size, report.per_fold_accuracy, report.mean_accuracy))
-        if report.mean_accuracy > best_mean:
-            best_size, best_mean = size, report.mean_accuracy
-    return rows, best_size
+    reports = {size: evaluate(data, replace(config, hidden_size=size), k) for size in sizes}
+    return reports, max(reports, key=lambda size: reports[size].mean_accuracy)
 
 
 def format_accuracy(value: float) -> str:
@@ -168,25 +162,25 @@ def format_accuracy(value: float) -> str:
     return str(Decimal(str(value)).quantize(Decimal("0.01"), ROUND_HALF_UP))
 
 
+def _accuracy_cells(report: EvaluationReport) -> list[str]:
+    """The report's fold accuracies, then its mean, formatted."""
+    return [format_accuracy(a) for a in [*report.per_fold_accuracy, report.mean_accuracy]]
+
+
 def write_report_csv(path: str | Path, report: EvaluationReport) -> None:
     """Fold accuracies then the mean, as fold,accuracy rows."""
-    lines = ["fold,accuracy"]
-    for i, acc in enumerate(report.per_fold_accuracy, start=1):
-        lines.append(f"{i},{format_accuracy(acc)}")
-    lines.append(f"mean,{format_accuracy(report.mean_accuracy)}")
+    cells = _accuracy_cells(report)
+    names = [*range(1, len(cells)), "mean"]
+    lines = ["fold,accuracy"] + [f"{name},{cell}" for name, cell in zip(names, cells)]
     with atomic_open(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def write_sweep_csv(path: str | Path,
-                    rows: list[tuple[int, list[float], float]]) -> None:
-    """One row per swept size: size,fold1..foldk,mean."""
-    k = len(rows[0][1])
+def write_sweep_csv(path: str | Path, reports: dict[int, EvaluationReport]) -> None:
+    """One row per swept size, from its report: size,fold1..foldk,mean."""
+    k = len(next(iter(reports.values())).per_fold_accuracy)
     lines = ["size," + ",".join(f"fold{i}" for i in range(1, k + 1)) + ",mean"]
-    for size, per_fold, mean in rows:
-        cells = [str(size)] + [format_accuracy(a) for a in per_fold]
-        cells.append(format_accuracy(mean))
-        lines.append(",".join(cells))
+    lines += [",".join([str(size), *_accuracy_cells(r)]) for size, r in reports.items()]
     with atomic_open(path) as fh:
         fh.write("\n".join(lines) + "\n")
 

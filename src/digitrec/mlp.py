@@ -228,6 +228,7 @@ def train(model: MlpModel | list[MlpModel], x: np.ndarray, labels, config: Train
     and (models, histories) is returned. The runs step in lockstep,
     stacked on a leading run axis, and each ends as it would have
     trained alone on its rows. rows goes with a list of models only.
+    Final weights that save_model would refuse raise ModelFormatError.
     """
     one = isinstance(model, MlpModel)
     if one != (rows is None):
@@ -281,6 +282,8 @@ def train(model: MlpModel | list[MlpModel], x: np.ndarray, labels, config: Train
         weights, velocity = [w[keep] for w in weights], [v[keep] for v in velocity]
         if not runs:
             break
+    for m in models:  # a diverged run would predict one class wherever it is used
+        _check_weights(m.weights)
     return model, histories[0] if one else histories
 
 

@@ -145,6 +145,20 @@ def test_extract_skips_blank_images(corpus, tmp_path, capsys):
     assert "skipped" in err and "notes.txt" not in err
 
 
+def test_extract_reads_only_the_class_directories_0_to_9(tmp_path, capsys):
+    # Both pass str.isdigit() but name no class: int('²') raises, and int('৩') is 3.
+    root = tmp_path / "corpus"
+    write_corpus(root, labels=[3], copies=2)
+    for name in ("²", "৩"):
+        (root / name).mkdir()
+        write_pgm(root / name / "s0.pgm", glyph_pgm(8))
+    out = tmp_path / "features.csv"
+    assert main(["extract", str(root), str(out)]) == 0
+    labels, _ = read_features_csv(out)
+    assert labels.tolist() == [3, 3]
+    assert capsys.readouterr().err.splitlines() == ["class 3: 2 samples", f"wrote 2 rows to {out}"]
+
+
 def test_extract_missing_root_fails(tmp_path, capsys):
     # So do a root without class directories and a corpus of blank scans.
     (tmp_path / "empty").mkdir()
@@ -220,22 +234,27 @@ def test_train_prints_the_per_sample_sse_and_accuracy(tmp_path, capsys):
     assert capsys.readouterr().out == f"sse {sse:.6f}\naccuracy {accuracy}\n"
 
 
-def test_train_writes_no_model_that_load_model_would_reject(tmp_path, capsys):
-    # At a learning rate of 1e9 the weights leave [-1e6, 1e6]. Unchecked,
-    # train exited 0 with a model file that predict then refused.
+@pytest.mark.parametrize("command, flags, outputs", [
+    ("train", ["--hidden", "5", "--model-out"], ["out.mlp"]),
+    ("crossval", ["--hidden", "5", "--report-out"], ["out.csv", "out.confusion.txt"]),
+    ("sweep", ["--sizes", "4,5", "--report-out"], ["out.csv"]),
+], ids=["train", "crossval", "sweep"])
+def test_diverged_training_exits_2_and_writes_nothing(tmp_path, capsys, command, flags, outputs):
+    # At a learning rate of 1e9 the weights leave [-1e6, 1e6] and each model
+    # predicts one class: train must not save one, nor crossval and sweep score it.
     data = make_toy_dataset(per_class=3, noise=0.05, seed=1)
     csv = tmp_path / "toy.csv"
     write_features_csv(csv, data.labels, data.features)
-    old = tmp_path / "old.mlp"
-    old.write_bytes(b"an earlier model")
-    for path in (tmp_path / "new.mlp", old):
-        assert main(["train", str(csv), "--model-out", str(path), "--lr", "1e9",
-                     "--epochs", "30", "--hidden", "5"]) == 2
+    for name in (None, *outputs):  # first no output exists, then an earlier one does
+        if name:
+            (tmp_path / name).write_text("earlier output\n")
+        assert main([command, str(csv), *flags, str(tmp_path / outputs[0]), "--lr", "1e9",
+                     "--epochs", "30"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "digitrec: weight outside [-1e6, 1e6] in layer 1\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["old.mlp", "toy.csv"]
-    assert old.read_bytes() == b"an earlier model"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["toy.csv", *outputs])
+    assert all((tmp_path / name).read_text() == "earlier output\n" for name in outputs)
 
 
 def test_train_and_crossval_leave_numpy_ma_unimported(feature_csv, tmp_path):

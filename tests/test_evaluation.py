@@ -205,17 +205,19 @@ def test_cross_validate_default_trains_each_fold_as_train_would():
 
 def canned_evaluate(table):
     def evaluate(data, config, k):
-        return EvaluationReport(list(table[config.hidden_size]), np.zeros((10, 10), dtype=int))
+        confusion = np.full((10, 10), config.hidden_size)  # marks whose report it is
+        return EvaluationReport(list(table[config.hidden_size]), confusion)
     return evaluate
 
 
 def test_sweep_reports_all_sizes_and_picks_the_best():
     data = tiny_dataset(per_class=3)
     table = {5: [60.0, 62.0], 10: [90.0, 92.0], 15: [80.0, 82.0]}
-    rows, best = sweep_hidden(data, [5, 10, 15], small_config(), k=2,
-                              evaluate=canned_evaluate(table))
-    assert [r[0] for r in rows] == [5, 10, 15]
-    assert rows[1][1] == [90.0, 92.0] and rows[1][2] == 91.0
+    reports, best = sweep_hidden(data, [5, 10, 15], small_config(), k=2,
+                                 evaluate=canned_evaluate(table))
+    assert list(reports) == [5, 10, 15]
+    assert reports[10].per_fold_accuracy == [90.0, 92.0] and reports[10].mean_accuracy == 91.0
+    assert [int(r.confusion[0, 0]) for r in reports.values()] == [5, 10, 15]
     assert best == 10
 
 
@@ -254,9 +256,10 @@ def test_report_csv_contents(tmp_path):
 
 
 def test_sweep_csv_contents(tmp_path):
-    rows = [(4, [50.0, 60.0], 55.0), (8, [70.0, 80.0], 75.0)]
+    zeros = np.zeros((10, 10), dtype=int)
+    reports = {4: EvaluationReport([50.0, 60.0], zeros), 8: EvaluationReport([70.0, 80.0], zeros)}
     path = tmp_path / "sweep.csv"
-    write_sweep_csv(path, rows)
+    write_sweep_csv(path, reports)
     assert path.read_text() == ("size,fold1,fold2,mean\n"
                                 "4,50.00,60.00,55.00\n"
                                 "8,70.00,80.00,75.00\n")

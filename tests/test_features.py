@@ -568,6 +568,9 @@ def test_write_features_csv_keeps_the_old_file_on_failure(tmp_path):
     before = out.read_bytes()
     with pytest.raises(ValueError):
         write_features_csv(out, [0, 1], [np.zeros(FEATURE_COUNT), np.zeros(5)])
+    with pytest.raises(ValueError, match=rf"expected an \(n, {FEATURE_COUNT}\) feature matrix, "
+                                         rf"got \(2, {FEATURE_COUNT - 1}\)"):
+        write_features_csv(out, [0, 1], np.zeros((2, FEATURE_COUNT - 1)))
     with pytest.raises(ValueError, match="differ in length"):
         write_features_csv(out, [0, 1, 2], [np.zeros(FEATURE_COUNT)] * 2)
     # What the reader would reject is not written: int() would turn 3.7
