@@ -46,24 +46,24 @@ def parse_threshold(text: str) -> int | None:
 
 
 def parse_sizes(spec: str) -> list[int]:
-    """Hidden sizes as "start:end:step" or a comma list, ascending."""
+    """Hidden sizes as "start:end:step" or a comma list, ascending, at most mlp.MAX_LAYER_SIZE."""
     spec = spec.strip()
     try:
         if ":" in spec:
-            parts = [int(p) for p in spec.split(":")]
-            if len(parts) != 3:
-                raise ValueError
-            start, end, step = parts
+            start, end, step = map(int, spec.split(":"))
             if step <= 0:
                 raise UsageError(f"size step must be positive in {spec!r}")
             if start > end:
                 raise UsageError(f"size range {spec!r} runs backwards")
-            sizes = list(range(start, end + 1, step))
+            listed = [end]  # bounded before the range becomes a list
         else:
-            sizes = [int(p) for p in spec.split(",")]
+            listed = [int(p) for p in spec.split(",")]
     except ValueError:
         raise UsageError(f"bad size spec {spec!r}") from None
-    if not sizes or any(n < 1 for n in sizes):
+    if max(listed) > mlp.MAX_LAYER_SIZE:
+        raise UsageError(f"sizes must be at most {mlp.MAX_LAYER_SIZE} in {spec!r}")
+    sizes = list(range(start, end + 1, step)) if ":" in spec else listed
+    if any(n < 1 for n in sizes):  # a range or a split is never empty
         raise UsageError(f"sizes must be positive in {spec!r}")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise UsageError(f"sizes must be ascending in {spec!r}")
@@ -287,7 +287,7 @@ def main(argv=None) -> int:
         print(f"digitrec: {exc}", file=sys.stderr)
         return 1
     except (DataError, pgm.PgmError, imgproc.NoForegroundError,
-            mlp.ModelFormatError, mlp.EmptyDatasetError,
+            mlp.ModelFormatError, mlp.TrainingDivergedError, mlp.EmptyDatasetError,
             mlp.DimensionMismatchError, evaluation.TooFewSamplesError,
             OSError) as exc:
         print(f"digitrec: {exc}", file=sys.stderr)

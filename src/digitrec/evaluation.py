@@ -178,6 +178,8 @@ def write_report_csv(path: str | Path, report: EvaluationReport) -> None:
 
 def write_sweep_csv(path: str | Path, reports: dict[int, EvaluationReport]) -> None:
     """One row per swept size, from its report: size,fold1..foldk,mean."""
+    if not reports:
+        raise ValueError("no sweep reports to write")
     k = len(next(iter(reports.values())).per_fold_accuracy)
     lines = ["size," + ",".join(f"fold{i}" for i in range(1, k + 1)) + ",mean"]
     lines += [",".join([str(size), *_accuracy_cells(r)]) for size, r in reports.items()]

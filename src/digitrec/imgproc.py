@@ -48,25 +48,25 @@ def binarize(gray: np.ndarray, threshold: int = DEFAULT_THRESHOLD,
 def otsu_threshold(gray: np.ndarray) -> int:
     """Pick the threshold that maximizes between-class variance.
 
-    Candidates t in 1..255 split pixels into {v < t} and {v >= t};
-    ties resolve to the smallest t, so the result is deterministic.
+    A cut t splits pixels into {v < t} and {v >= t}. Only the cuts
+    lo+1..hi between the first and last occupied levels leave both
+    classes non-empty, so only they are scored; ties resolve to the
+    smallest t. A one-level image gives level + 1, at most 255. An
+    image with no pixels raises ValueError.
     """
-    gray = np.asarray(gray, dtype=np.uint8)
-    hist = np.bincount(gray.ravel(), minlength=256).astype(np.float64)
-    total = hist.sum()
+    hist = np.bincount(np.asarray(gray, dtype=np.uint8).ravel(), minlength=256).astype(np.float64)
+    occupied = np.flatnonzero(hist)
+    if occupied.size == 0:
+        raise ValueError("cannot threshold an image with no pixels")
+    lo, hi = int(occupied[0]), int(occupied[-1])
+    if lo == hi:
+        return min(lo + 1, 255)
     cum_v = np.cumsum(hist * np.arange(256))
     # Index t - 1 holds the split at t: n0 pixels below t, n1 at or above.
-    n0 = np.cumsum(hist)[:-1]
-    n1 = total - n0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        var = n0 * n1 * (cum_v[:-1] / n0 - (cum_v[-1] - cum_v[:-1]) / n1) ** 2
-    var[(n0 == 0) | (n1 == 0)] = -1
-    if var.max() < 0:
-        # Flat image: every split is empty on one side. Any threshold
-        # is as good as another; keep the deterministic fallback.
-        mean_all = cum_v[-1] / total
-        return int(mean_all) + 1 if mean_all < 255 else 255
-    return int(np.argmax(var)) + 1
+    n0 = np.cumsum(hist)[lo:hi]
+    n1 = hist.sum() - n0
+    var = n0 * n1 * (cum_v[lo:hi] / n0 - (cum_v[-1] - cum_v[lo:hi]) / n1) ** 2
+    return int(np.argmax(var)) + lo + 1
 
 
 def minimal_bounding_box(binary: np.ndarray) -> BoundingBox:
@@ -96,12 +96,9 @@ def bilinear_resize(src: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     y1 = np.minimum(y0 + 1, h - 1)
     x1 = np.minimum(x0 + 1, w - 1)
     fy = (ys - y0)[:, None]
-    fx = (xs - x0)[None, :]
-    block = src[np.concatenate([y0, y1])][:, np.concatenate([x0, x1])]  # rows, then columns
-    (tl, tr), (bl, br) = block.reshape(2, out_h, 2, out_w).swapaxes(1, 2)
-    top = tl * (1 - fx) + tr * fx
-    bot = bl * (1 - fx) + br * fx
-    return top * (1 - fy) + bot * fy
+    fx = xs - x0
+    cols = src[:, x0] * (1 - fx) + src[:, x1] * fx  # every source row, at the output columns
+    return cols[y0] * (1 - fy) + cols[y1] * fy
 
 
 def normalize_image(gray: np.ndarray, threshold: int | None = DEFAULT_THRESHOLD,

@@ -25,6 +25,7 @@ PATIENCE = 20  # than STOP_TOLERANCE for PATIENCE epochs in a row
 
 MAGIC = b"MLP1"
 FORMAT_VERSION = 1
+MAX_LAYER_SIZE = 2**32 - 1  # the model format stores each layer size as a u32
 
 
 class EmptyDatasetError(ValueError):
@@ -33,6 +34,10 @@ class EmptyDatasetError(ValueError):
 
 class DimensionMismatchError(ValueError):
     """Raised when a feature vector does not fit the model's input."""
+
+
+class TrainingDivergedError(ValueError):
+    """Raised when training ends with a weight outside [-1e6, 1e6]."""
 
 
 class ModelFormatError(ValueError):
@@ -72,8 +77,8 @@ class TrainingConfig:
         for name in ("hidden_size", "max_epochs", "seed"):
             if not isinstance(getattr(self, name), (int, np.integer)):
                 raise ValueError(f"{name} must be an integer")
-        if self.hidden_size < 1:
-            raise ValueError("hidden_size must be at least 1")
+        if not 1 <= self.hidden_size <= MAX_LAYER_SIZE:
+            raise ValueError(f"hidden_size must lie in 1..{MAX_LAYER_SIZE}")
         for name in ("learning_rate", "momentum"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
@@ -228,7 +233,7 @@ def train(model: MlpModel | list[MlpModel], x: np.ndarray, labels, config: Train
     and (models, histories) is returned. The runs step in lockstep,
     stacked on a leading run axis, and each ends as it would have
     trained alone on its rows. rows goes with a list of models only.
-    Final weights that save_model would refuse raise ModelFormatError.
+    Final weights that save_model would refuse raise TrainingDivergedError.
     """
     one = isinstance(model, MlpModel)
     if one != (rows is None):
@@ -283,14 +288,15 @@ def train(model: MlpModel | list[MlpModel], x: np.ndarray, labels, config: Train
         if not runs:
             break
     for m in models:  # a diverged run would predict one class wherever it is used
-        _check_weights(m.weights)
+        _check_weights(m.weights, TrainingDivergedError,
+                       f"training diverged at learning rate {config.learning_rate}: ")
     return model, histories[0] if one else histories
 
 
-def _check_weights(weights: list[np.ndarray]) -> None:
+def _check_weights(weights: list[np.ndarray], error=ModelFormatError, prefix: str = "") -> None:
     for layer, w in enumerate(weights, 1):
         if not (np.abs(w) <= VALUE_LIMIT).all():  # NaN too; keeps forward finite
-            raise ModelFormatError(f"weight outside [-1e6, 1e6] in layer {layer}")
+            raise error(f"{prefix}weight outside [-1e6, 1e6] in layer {layer}")
 
 
 def save_model(path, model: MlpModel) -> None:

@@ -68,9 +68,38 @@ def test_parse_sizes_range_and_list():
     assert len(parse_sizes("25:70:5")) == 10
     assert parse_sizes("4,8,12") == [4, 8, 12]
     assert parse_sizes("7") == [7]
-    for bad in ("70:25:5", "25:70:0", "8,4", "4,4", "0,5", "a,b", "1:2", ""):
+    for bad in ("70:25:5", "25:70:0", "8,4", "4,4", "0,5", "a,b", "1:2", "1:2:3:4", ""):
         with pytest.raises(UsageError):
             parse_sizes(bad)
+    # The model file holds sizes up to 2**32 - 1. A long range is refused in a
+    # child process below, since a regression would list it here.
+    assert parse_sizes("4294967290:4294967295:5") == [4294967290, 4294967295]
+    for bad in ("1:4294967296:4294967295", "4,4294967296"):
+        with pytest.raises(UsageError, match="sizes must be at most 4294967295"):
+            parse_sizes(bad)
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--hidden", "99999999999999999999", "--model-out"],
+    ["train", "--hidden", "10000000000", "--model-out"],
+    ["sweep", "--sizes", "1:100000000000:1", "--report-out"],
+], ids=["train-20-digits", "train-1e10", "sweep-range"])
+def test_sizes_the_model_file_cannot_hold_are_usage_errors(feature_csv, tmp_path, argv):
+    # Each once reached exit 3 through a huge allocation, so each runs in a
+    # child process whose address space is capped at 2 GiB.
+    script = ("import resource, sys\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+              "from digitrec.cli import main\n"
+              "sys.exit(main(sys.argv[1:]))\n")
+    src = os.path.dirname(os.path.dirname(digitrec.__file__))
+    result = subprocess.run(
+        [sys.executable, "-c", script, argv[0], str(feature_csv), "--epochs", "1", *argv[1:],
+         str(tmp_path / "out")],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert re.fullmatch(r"digitrec: [^\n]*4294967295[^\n]*\n", result.stderr), result.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_flags_arrive_parsed_with_the_library_defaults():
@@ -252,7 +281,8 @@ def test_diverged_training_exits_2_and_writes_nothing(tmp_path, capsys, command,
                      "--epochs", "30"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "digitrec: weight outside [-1e6, 1e6] in layer 1\n"
+        assert captured.err == ("digitrec: training diverged at learning rate 1000000000.0: "
+                                "weight outside [-1e6, 1e6] in layer 1\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["toy.csv", *outputs])
     assert all((tmp_path / name).read_text() == "earlier output\n" for name in outputs)
 

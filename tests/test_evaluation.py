@@ -265,6 +265,14 @@ def test_sweep_csv_contents(tmp_path):
                                 "8,70.00,80.00,75.00\n")
 
 
+def test_sweep_csv_of_no_reports_is_a_value_error(tmp_path):
+    # Unchecked, next() on the empty dict raised a bare StopIteration.
+    path = tmp_path / "sweep.csv"
+    with pytest.raises(ValueError, match="no sweep reports"):
+        write_sweep_csv(path, {})
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # Synthetic corpus
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -250,3 +251,18 @@ def test_otsu_is_deterministic():
     rng = np.random.Generator(np.random.PCG64(9))
     gray = rng.integers(0, 256, size=(16, 16), dtype=np.uint8)
     assert otsu_threshold(gray) == otsu_threshold(gray.copy())
+
+
+@pytest.mark.parametrize("shape", [(0, 5), (4, 0)])
+def test_otsu_refuses_an_image_with_no_pixels(shape):
+    # The scan once divided by a zero pixel count: a RuntimeWarning, then int(nan).
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="no pixels"):
+            otsu_threshold(np.zeros(shape, dtype=np.uint8))
+
+
+def test_otsu_of_a_one_level_image_is_the_next_level():
+    # No cut leaves both classes non-empty; the image's mean is its level.
+    got = [otsu_threshold(np.full((2, 3), v, dtype=np.uint8)) for v in range(256)]
+    assert got == [min(v + 1, 255) for v in range(256)]

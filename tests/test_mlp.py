@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 
 import digitrec
 from digitrec.evaluation import make_folds, make_toy_dataset
-from digitrec.mlp import (INPUT_SIZE, OUTPUT_SIZE, BadMagicError,
+from digitrec.mlp import (INPUT_SIZE, MAX_LAYER_SIZE, OUTPUT_SIZE, BadMagicError,
                           DimensionMismatchError, EmptyDatasetError,
                           MlpModel, ModelFormatError,
                           ShapeMismatchError,
-                          TrainingConfig, TruncatedStreamError,
+                          TrainingConfig, TrainingDivergedError, TruncatedStreamError,
                           VersionMismatchError, forward,
                           gradient, init_model,
                           load_model, predict, random_model, sample_error,
@@ -92,6 +92,15 @@ def test_config_validation():
         small_config(**{name: np.int64(3)})
     # Zero learning rate and zero epochs are valid edge settings.
     small_config(learning_rate=0.0, max_epochs=0)
+
+
+def test_config_bounds_hidden_size_by_the_model_format():
+    # The model file stores each layer size as a u32; a larger size could never be saved.
+    assert MAX_LAYER_SIZE == 2**32 - 1 == struct.unpack("<I", b"\xff" * 4)[0]
+    small_config(hidden_size=MAX_LAYER_SIZE)  # a config allocates nothing
+    for value in (MAX_LAYER_SIZE + 1, 10**10, 10**20, np.uint64(2**63)):
+        with pytest.raises(ValueError, match=f"hidden_size must lie in 1..{MAX_LAYER_SIZE}"):
+            small_config(hidden_size=value)
 
 
 def test_config_rejects_non_finite_hyperparameters():
@@ -362,6 +371,17 @@ def test_train_rejects_bad_data():
                       (np.zeros((2, 4)), [0.0, 1.0])):  # a float label is no index
         with pytest.raises(DimensionMismatchError):
             train(model, x, labels, small_config())
+
+
+def test_diverged_training_names_the_learning_rate_and_the_layer():
+    # The weights are not from a file, so the error is not a ModelFormatError.
+    data = make_toy_dataset(per_class=3, noise=0.05, seed=1)
+    config = TrainingConfig(hidden_size=5, learning_rate=1e9, max_epochs=30)
+    with pytest.raises(TrainingDivergedError) as info:
+        train(init_model(config), data.features, data.labels, config)
+    assert not isinstance(info.value, ModelFormatError)
+    assert str(info.value) == ("training diverged at learning rate 1000000000.0: "
+                               "weight outside [-1e6, 1e6] in layer 1")
 
 
 @pytest.mark.parametrize("label", [3, 10, -1, -4])
