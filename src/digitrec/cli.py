@@ -2,7 +2,8 @@
 
 Subcommands: extract, train, predict, crossval, sweep. Data goes to
 stdout or the requested output files; diagnostics go to stderr. Exit
-codes: 0 success, 1 usage error, 2 data error, 3 internal error.
+codes: 0 success, 1 usage error, 2 data error or out of memory, 3 internal
+error.
 """
 
 from __future__ import annotations
@@ -277,7 +278,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _hidden_sizes(args) -> str:
+    """The hidden sizes a command was asked to train, as words, or "" for none."""
+    if hasattr(args, "sizes"):
+        return f" for hidden sizes up to {args.sizes[-1]}"
+    return f" for hidden size {args.hidden}" if hasattr(args, "hidden") else ""
+
+
 def main(argv=None) -> int:
+    args = None
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
@@ -291,6 +300,10 @@ def main(argv=None) -> int:
             mlp.DimensionMismatchError, evaluation.TooFewSamplesError,
             OSError) as exc:
         print(f"digitrec: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy's _ArrayMemoryError too: a size in bounds may not fit
+        reason = str(exc) or "allocation failed"
+        print(f"digitrec: out of memory{_hidden_sizes(args)}: {reason}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive
         print(f"digitrec: internal error: {exc}", file=sys.stderr)

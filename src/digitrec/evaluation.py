@@ -7,7 +7,7 @@ CSV or printing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import Callable
@@ -55,8 +55,11 @@ class Dataset:
 
 @dataclass
 class EvaluationReport:
+    """Per-fold accuracies and the pooled confusion matrix; with the default
+    trainer, also each fold's training history (epoch errors), in fold order."""
     per_fold_accuracy: list[float]
     confusion: np.ndarray
+    histories: list[list[float]] = field(default_factory=list)
 
     @property
     def mean_accuracy(self) -> float:
@@ -116,16 +119,17 @@ def cross_validate(data: Dataset, config: TrainingConfig, k: int = 3,
     every fold's run is independently reproducible. Without a trainer,
     one train call runs the k backprop runs in lockstep, each to the
     model it would reach alone, and each fold's test rows are scored in
-    one forward pass; an injected trainer is called once per fold, just
-    before its classifier scores that fold's test rows. The confusion
-    matrix pools the test predictions of all folds.
+    one forward pass, and the report keeps each fold's history; an
+    injected trainer is called once per fold, just before its classifier
+    scores that fold's test rows. The confusion matrix pools the test
+    predictions of all folds.
     """
     folds = make_folds(data, k, config.seed)
     configs = [replace(config, seed=config.seed + fold) for fold in range(k)]
     train_rows = [np.flatnonzero(folds != fold) for fold in range(k)]
     if trainer is None:
-        models, _ = train([init_model(c) for c in configs], data.features, data.labels,
-                          config, train_rows)
+        models, histories = train([init_model(c) for c in configs], data.features,
+                                  data.labels, config, train_rows)
     per_fold = []
     confusion = np.zeros((OUTPUT_SIZE, OUTPUT_SIZE), dtype=np.int64)
     for fold in range(k):
@@ -137,7 +141,7 @@ def cross_validate(data: Dataset, config: TrainingConfig, k: int = 3,
         fold_confusion = confusion_matrix(test_set.labels, preds)
         per_fold.append(100.0 * int(np.trace(fold_confusion)) / len(test_set))
         confusion += fold_confusion
-    return EvaluationReport(per_fold, confusion)
+    return EvaluationReport(per_fold, confusion, histories if trainer is None else [])
 
 
 def sweep_hidden(data: Dataset, sizes: list[int], config: TrainingConfig,

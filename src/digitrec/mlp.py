@@ -4,7 +4,8 @@ Sample-at-a-time updates with momentum, and a binary on-disk format. The
 input, hidden and output widths are free so the formulas can be checked
 on tiny networks, but the digit pipeline always builds 76-H-10 models
 with crisp one-of-ten targets. The network math takes an optional
-leading run axis, on which train stacks lockstep runs.
+leading run axis, on which train stacks lockstep runs, and writes into
+preallocated buffers that train reuses from step to step.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ PATIENCE = 20  # than STOP_TOLERANCE for PATIENCE epochs in a row
 MAGIC = b"MLP1"
 FORMAT_VERSION = 1
 MAX_LAYER_SIZE = 2**32 - 1  # the model format stores each layer size as a u32
+GATHER_STEPS = 16  # steps whose rows train gathers at once; more saved no time
 
 
 class EmptyDatasetError(ValueError):
@@ -115,11 +117,21 @@ class MlpModel:
         return self.weights[1].shape[0]
 
 
-def sigmoid(x):
-    """Logistic function, stable for large |x|."""
-    x = np.asarray(x, dtype=np.float64)
-    t = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, t) / (1.0 + t)
+def sigmoid(x, out=None, work=None):
+    """Logistic function, stable for large |x|: exp(min(x, 0)) / (1 + exp(-|x|)).
+
+    Written into out if given. work, if given, is a (2, *x.shape) float64
+    array that takes both exponentials, so that one np.exp call does them,
+    and x must then be a float64 array.
+    """
+    if work is None:
+        x = np.asarray(x, dtype=np.float64)
+        work = np.empty((2, *x.shape))
+    np.minimum(x, 0.0, out=work[0])
+    np.copysign(x, -1.0, out=work[1])
+    np.exp(work, out=work)
+    np.add(work[1], 1.0, out=work[1])
+    return np.divide(work[0], work[1], out=out)
 
 
 def random_model(layer_sizes: list[int], seed: int) -> MlpModel:
@@ -159,16 +171,77 @@ def _targets(model: MlpModel, labels, x: np.ndarray) -> np.ndarray:
     return np.eye(model.output_size)[labels]
 
 
-def _layer_inputs(weights: list[np.ndarray], x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The hidden activations ending in the bias input 1 (x already does), and the output."""
-    act = sigmoid(np.einsum("...hk,...k->...h", weights[0], x))  # einsum calls no BLAS kernel
-    hidden = np.concatenate([act, np.ones_like(act[..., :1])], axis=-1)
-    return hidden, sigmoid(np.einsum("...oh,...h->...o", weights[1], hidden))
+def _split(flat: np.ndarray, sizes: list[int]) -> list[np.ndarray]:
+    """The (H, I+1) and (O, H+1) matrices of sizes [I, H, O] as views of flat's last axis."""
+    n_in, hidden, n_out = sizes
+    cut = hidden * (n_in + 1)
+    lead = flat.shape[:-1]
+    return [flat[..., :cut].reshape(*lead, hidden, n_in + 1),
+            flat[..., cut:].reshape(*lead, n_out, hidden + 1)]
+
+
+class _Buffers:
+    """The arrays that a forward pass over rows of leading shape lead, and
+    with backward a backward pass too, write with out=; train's steps
+    reuse one set."""
+
+    def __init__(self, sizes: list[int], lead: tuple, backward: bool = False):
+        n_in, hidden, n_out = sizes
+        self.hidden = np.empty((*lead, hidden + 1))
+        self.hidden[..., -1] = 1.0  # the bias input; the sigmoid writes only act, the rest
+        self.act = self.hidden[..., :-1]
+        # One array per layer holds its net input and its sigmoid's two work rows;
+        # the output layer's holds out too.
+        h, o = np.empty((3, *lead, hidden)), np.empty((4, *lead, n_out))
+        self.net_hidden, self.work_hidden = h[0], h[1:]
+        self.out, self.net_out, self.work_out = o[0], o[1], o[2:]
+        if backward:
+            self.delta_hidden, self.slope_hidden = np.empty((2, *lead, hidden))
+            self.delta_out, self.slope_out = np.empty((2, *lead, n_out))
+            self.flat_grad = np.empty((*lead, hidden * (n_in + 1) + n_out * (hidden + 1)))
+            self.grads = _split(self.flat_grad, sizes)
+
+
+def _layer_inputs(weights: list[np.ndarray], x: np.ndarray, buf: _Buffers) -> None:
+    """Fill buf.hidden (the hidden activations, then the bias 1) and buf.out from x,
+    which ends in its bias 1."""
+    np.einsum("...hk,...k->...h", weights[0], x, out=buf.net_hidden)  # einsum calls no BLAS
+    sigmoid(buf.net_hidden, buf.act, buf.work_hidden)
+    np.einsum("...oh,...h->...o", weights[1], buf.hidden, out=buf.net_out)
+    sigmoid(buf.net_out, buf.out, buf.work_out)
+
+
+def _error(diff: np.ndarray) -> np.ndarray:
+    """E = 0.5 * ||output - target||^2 per row, from diff = output - target."""
+    return 0.5 * np.einsum("...o,...o->...", diff, diff)
+
+
+def _backprop(weights: list[np.ndarray], x: np.ndarray, target: np.ndarray,
+              buf: _Buffers, diff: np.ndarray) -> None:
+    """Gradients of E = 0.5 * ||target - output||^2 into buf.grads, and output - target
+    into diff."""
+    _layer_inputs(weights, x, buf)
+    np.subtract(buf.out, target, out=diff)
+    np.subtract(1.0, buf.out, out=buf.slope_out)
+    np.multiply(diff, buf.out, out=buf.delta_out)
+    np.multiply(buf.delta_out, buf.slope_out, out=buf.delta_out)
+    np.einsum("...oh,...o->...h", weights[1][..., :-1], buf.delta_out, out=buf.delta_hidden)
+    np.subtract(1.0, buf.act, out=buf.slope_hidden)
+    np.multiply(buf.delta_hidden, buf.act, out=buf.delta_hidden)
+    np.multiply(buf.delta_hidden, buf.slope_hidden, out=buf.delta_hidden)
+    # Each entry is one product, as with broadcasting, but in a faster loop. einsum
+    # stores 0 + d*x, so a product of -0.0 is kept as +0.0; the oracle tests show
+    # that this never reaches a weight.
+    np.einsum("...h,...k->...hk", buf.delta_hidden, x, out=buf.grads[0])
+    np.einsum("...o,...h->...oh", buf.delta_out, buf.hidden, out=buf.grads[1])
 
 
 def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
     """Output activations for one feature vector, or one row of them per row of x."""
-    return _layer_inputs(model.weights, _biased_input(model, x))[1]
+    x = _biased_input(model, x)
+    buf = _Buffers(model.layer_sizes, x.shape[:-1])
+    _layer_inputs(model.weights, x, buf)
+    return buf.out
 
 
 def predict(model: MlpModel, x: np.ndarray) -> int:
@@ -178,36 +251,36 @@ def predict(model: MlpModel, x: np.ndarray) -> int:
     return int(np.argmax(forward(model, x)))
 
 
-def _error(out: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """out - target, and E = 0.5 * ||out - target||^2 per run of the leading axis."""
-    diff = out - target
-    return diff, 0.5 * np.einsum("...o,...o->...", diff, diff)
-
-
-def _backprop(weights: list[np.ndarray], x: np.ndarray,
-              target: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """Gradients of E = 0.5 * ||target - output||^2 for both matrices, plus E itself."""
-    hidden, out = _layer_inputs(weights, x)
-    diff, error = _error(out, target)
-    delta_out = diff * out * (1.0 - out)
-    act = hidden[..., :-1]
-    delta_hidden = np.einsum("...oh,...o->...h", weights[1][..., :-1], delta_out) * act * (1.0 - act)
-    return [delta_hidden[..., :, None] * x[..., None, :],
-            delta_out[..., :, None] * hidden[..., None, :]], error
-
-
 def gradient(model: MlpModel, x: np.ndarray, label: int) -> list[np.ndarray]:
     """dE/dw per weight matrix for E = 0.5 * ||target - output||^2 of one vector."""
     x = _biased_input(model, x)
-    return _backprop(model.weights, x, _targets(model, label, x))[0]
+    buf = _Buffers(model.layer_sizes, x.shape[:-1], backward=True)
+    _backprop(model.weights, x, _targets(model, label, x), buf, np.empty_like(buf.out))
+    return buf.grads
 
 
 def sample_error(model: MlpModel, x: np.ndarray, labels):
     """0.5 * squared error of one vector against its label's target, as a
     float, or the array of them for a matrix of rows and their labels."""
-    x = _biased_input(model, x)
-    error = _error(_layer_inputs(model.weights, x)[1], _targets(model, labels, x))[1]
-    return float(error) if x.ndim == 1 else error
+    out = forward(model, x)
+    error = _error(out - _targets(model, labels, out))
+    return float(error) if out.ndim == 1 else error
+
+
+def stop_state(history: list[float], max_epochs: int) -> tuple[int, str | None]:
+    """(stale, reason) for a run whose epoch errors so far are history.
+
+    stale counts the epochs in a row at the end of history whose error
+    improved on the one before by less than STOP_TOLERANCE. reason is
+    "stalled" once stale reaches PATIENCE, else "max_epochs" once
+    history holds max_epochs errors, else None: training goes on.
+    """
+    stale = 0
+    for before, error in zip(history, history[1:]):
+        stale = stale + 1 if before - error < STOP_TOLERANCE else 0
+    if stale >= PATIENCE:
+        return stale, "stalled"
+    return stale, "max_epochs" if len(history) >= max_epochs else None
 
 
 def train(model: MlpModel | list[MlpModel], x: np.ndarray, labels, config: TrainingConfig,
@@ -226,7 +299,8 @@ def train(model: MlpModel | list[MlpModel], x: np.ndarray, labels, config: Train
     summed per-sample error of each epoch, measured as each row is
     visited. Training stops after max_epochs, or earlier once the
     epoch error improves by less than STOP_TOLERANCE for PATIENCE
-    epochs in a row. x, labels and rows are checked once per call.
+    epochs in a row, as stop_state says. x, labels and rows are checked
+    once per call.
 
     Given a list of models and a list rows of as many index arrays into
     x, run r trains models[r] on x[rows[r]] with seed config.seed + r,
@@ -252,45 +326,57 @@ def train(model: MlpModel | list[MlpModel], x: np.ndarray, labels, config: Train
         raise EmptyDatasetError("cannot train on an empty dataset")
     targets = _targets(models[0], labels, inputs)
 
+    sizes = models[0].layer_sizes
     rngs = [np.random.Generator(np.random.PCG64(config.seed + r)) for r in range(len(models))]
-    weights = [np.stack(layer) for layer in zip(*(m.weights for m in models))]
-    velocity = [np.zeros_like(w) for w in weights]
+    # One flat row of parameters per run, and one of velocities; _split views the matrices.
+    params = np.stack([np.concatenate([w.ravel() for w in m.weights]) for m in models])
+    velocity = np.zeros_like(params)
     histories: list[list[float]] = [[] for _ in models]
-    stale = [0] * len(models)  # epochs in a row without enough improvement, per run
-    runs = list(range(len(models)))  # the runs in the stack, in stack order
-    for _ in range(config.max_epochs):
+    runs = list(range(len(models)))  # the runs still training, in stack order
+    while runs := [r for r in runs if stop_state(histories[r], config.max_epochs)[1] is None]:
         orders = [members[r][rngs[r].permutation(len(members[r]))] for r in runs]
         shortest = min(map(len, orders))
-        epoch_error = np.zeros(len(runs))
+        epoch_error = np.zeros(len(models))
         # All runs step together up to the shortest shuffle, then each finishes alone.
-        parts = [(slice(None), np.stack([order[:shortest] for order in orders], axis=1))]
-        parts += [(slice(a, a + 1), order[shortest:, None]) for a, order in enumerate(orders)]
-        for part, visits in parts:
-            ws, vs = [w[part] for w in weights], [v[part] for v in velocity]
-            errors = epoch_error[part]
-            for visit in visits:
-                grads, error = _backprop(ws, inputs.take(visit, 0), targets.take(visit, 0))
-                errors += error
-                for w, v, g in zip(ws, vs, grads):
-                    v *= config.momentum
-                    g *= config.learning_rate
-                    v -= g
-                    w += v
-        for a, r in enumerate(runs):
-            for mw, w in zip(models[r].weights, weights):
-                mw[...] = w[a]
-            error, history = float(epoch_error[a]), histories[r]
-            stale[r] = stale[r] + 1 if history and history[-1] - error < STOP_TOLERANCE else 0
-            history.append(error)
-        keep = [a for a, r in enumerate(runs) if stale[r] < PATIENCE]
-        runs = [runs[a] for a in keep]
-        weights, velocity = [w[keep] for w in weights], [v[keep] for v in velocity]
-        if not runs:
-            break
+        parts = [(runs, np.stack([order[:shortest] for order in orders], axis=1))]
+        parts += [([r], order[shortest:, None])
+                  for r, order in zip(runs, orders) if len(order) > shortest]
+        for ids, visits in parts:
+            p, v = params[ids], velocity[ids]
+            epoch_error[ids] = _steps(p, v, inputs, targets, visits, epoch_error[ids], sizes,
+                                      config)
+            params[ids], velocity[ids] = p, v
+        for r in runs:
+            histories[r].append(float(epoch_error[r]))
+    for m, p in zip(models, params):
+        for mw, w in zip(m.weights, _split(p, sizes)):
+            mw[...] = w
     for m in models:  # a diverged run would predict one class wherever it is used
         _check_weights(m.weights, TrainingDivergedError,
                        f"training diverged at learning rate {config.learning_rate}: ")
     return model, histories[0] if one else histories
+
+
+def _steps(params: np.ndarray, velocity: np.ndarray, inputs: np.ndarray, targets: np.ndarray,
+           visits: np.ndarray, start: np.ndarray, sizes: list[int],
+           config: TrainingConfig) -> np.ndarray:
+    """Online steps, in place, of the runs stacked in params and velocity: step i trains
+    run a on row visits[i, a] of inputs and targets. Returns start plus each run's
+    summed error, added in visit order."""
+    buf = _Buffers(sizes, params.shape[:-1], backward=True)
+    weights = _split(params, sizes)
+    diffs = np.empty((*visits.shape, targets.shape[-1]))
+    for first in range(0, len(visits), GATHER_STEPS):
+        chunk = visits[first:first + GATHER_STEPS]
+        for x, target, diff in zip(inputs.take(chunk, 0), targets.take(chunk, 0),
+                                   diffs[first:]):
+            _backprop(weights, x, target, buf, diff)
+            np.multiply(velocity, config.momentum, out=velocity)
+            np.multiply(buf.flat_grad, config.learning_rate, out=buf.flat_grad)
+            np.subtract(velocity, buf.flat_grad, out=velocity)
+            np.add(params, velocity, out=params)
+    # A running sum in visit order: the same bits as adding each step's error to start.
+    return np.cumsum(np.concatenate([start[None], _error(diffs)]), axis=0)[-1]
 
 
 def _check_weights(weights: list[np.ndarray], error=ModelFormatError, prefix: str = "") -> None:

@@ -102,6 +102,26 @@ def test_sizes_the_model_file_cannot_hold_are_usage_errors(feature_csv, tmp_path
     assert list(tmp_path.iterdir()) == []
 
 
+def test_a_size_that_does_not_fit_in_memory_is_a_data_error(feature_csv, tmp_path):
+    # 4e9 is a size the model file can hold, but its (H, 77) matrix is 2.2 TiB.
+    # The child's address space is capped at 2 GiB, so the allocation fails
+    # there at once, and never in this process.
+    script = ("import resource, sys\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+              "from digitrec.cli import main\n"
+              "sys.exit(main(sys.argv[1:]))\n")
+    src = os.path.dirname(os.path.dirname(digitrec.__file__))
+    result = subprocess.run(
+        [sys.executable, "-c", script, "train", str(feature_csv), "--hidden", "4000000000",
+         "--epochs", "1", "--model-out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert re.fullmatch(r"digitrec: out of memory for hidden size 4000000000: [^\n]+\n",
+                        result.stderr), result.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_flags_arrive_parsed_with_the_library_defaults():
     d = TrainingConfig()
     for argv in (["train", "d"], ["crossval", "d"], ["sweep", "d", "--sizes", "4,8"]):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -198,6 +200,22 @@ def test_cross_validate_default_trains_each_fold_as_train_would():
     got = cross_validate(data, config, k=3)
     assert got.per_fold_accuracy == want.per_fold_accuracy
     np.testing.assert_array_equal(got.confusion, want.confusion)
+
+
+def test_cross_validate_keeps_each_folds_history():
+    data = make_toy_dataset(per_class=4, noise=0.1, seed=52)
+    config = small_config(hidden_size=5, max_epochs=12, seed=4)
+    folds = make_folds(data, 3, config.seed)
+    rows = [np.flatnonzero(folds != fold) for fold in range(3)]
+    _, want = train([init_model(replace(config, seed=config.seed + fold)) for fold in range(3)],
+                    data.features, data.labels, config, rows)
+    assert cross_validate(data, config, k=3).histories == want
+    assert [len(h) for h in want] == [12] * 3
+    # An injected trainer returns a classifier only, so there is no history to keep.
+    assert cross_validate(data, config, k=3, trainer=perfect_trainer).histories == []
+    assert EvaluationReport([50.0], np.zeros((10, 10))).histories == []
+    reports, _ = sweep_hidden(data, [2, 5], config, k=3)
+    assert reports[5].histories == want and len(reports[2].histories) == 3
 
 
 # ---------------------------------------------------------------------------

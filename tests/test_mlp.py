@@ -5,6 +5,7 @@ import struct
 import subprocess
 import sys
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import digitrec
+from digitrec import mlp
 from digitrec.evaluation import make_folds, make_toy_dataset
 from digitrec.mlp import (INPUT_SIZE, MAX_LAYER_SIZE, OUTPUT_SIZE, BadMagicError,
                           DimensionMismatchError, EmptyDatasetError,
@@ -21,7 +23,7 @@ from digitrec.mlp import (INPUT_SIZE, MAX_LAYER_SIZE, OUTPUT_SIZE, BadMagicError
                           VersionMismatchError, forward,
                           gradient, init_model,
                           load_model, predict, random_model, sample_error,
-                          save_model, sigmoid, train)
+                          save_model, sigmoid, stop_state, train)
 
 
 def small_config(**overrides):
@@ -141,6 +143,25 @@ def test_sigmoid_is_stable_at_extremes():
     assert sigmoid(np.array([800.0]))[0] == 1.0
     assert sigmoid(np.array([-800.0]))[0] == 0.0
     assert sigmoid(np.array([0.0]))[0] == 0.5
+
+
+def test_sigmoid_has_the_bits_of_the_earlier_formula():
+    # The earlier sigmoid, where(x >= 0, 1, t) / (1 + t) with t = exp(-|x|),
+    # written out; oracle_train calls the package's sigmoid, so this is what
+    # ties the model-bytes oracles to the earlier arithmetic.
+    rng = np.random.Generator(np.random.PCG64(5))
+    tiny = 10.0 ** rng.uniform(-320, 2, 2000)
+    x = np.concatenate([rng.normal(0, 4, 20000), rng.normal(0, 300, 2000), tiny, -tiny,
+                        [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 745.2, -745.2, 1e308]])
+    t = np.exp(-np.abs(x))
+    want = np.where(x >= 0, 1.0, t) / (1.0 + t)
+    assert sigmoid(x).tobytes() == want.tobytes()
+    # Into out and work, on a strided view, as the training step calls it.
+    rows = x[:26004].reshape(3, -1)[::-1]
+    got = np.empty(rows.shape)
+    sigmoid(rows, got, np.empty((2, *rows.shape)))
+    assert got.tobytes() == want[:26004].reshape(3, -1)[::-1].tobytes()
+    assert np.isnan(sigmoid(np.array([np.nan]))).all()
 
 
 def test_forward_rejects_wrong_input_size():
@@ -642,6 +663,63 @@ def test_lockstep_runs_match_the_oracle_run_alone(tmp_path):
         save_model(tmp_path / "want.mlp", want)
         assert history == want_history
         assert (tmp_path / "got.mlp").read_bytes() == (tmp_path / "want.mlp").read_bytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(gains=st.lists(st.sampled_from([-1.0, 0.0, 5e-5, 1e-4, 2e-4, 0.5]), max_size=60),
+       max_epochs=st.integers(0, 60))
+@example(gains=[1.0] + [0.0] * 25, max_epochs=60)  # stalls at epoch 21
+@example(gains=[0.0] * 25, max_epochs=21)  # stalls at its last epoch
+def test_stop_state_is_the_oracles_rule(gains, max_epochs):
+    # oracle_train's stop rule, written out as it is there, epoch by epoch.
+    assert stop_state([], max_epochs) == (0, None if max_epochs else "max_epochs")
+    history, stale = [], 0
+    for error in (100.0 - np.cumsum(gains)).tolist()[:max_epochs]:
+        if history and history[-1] - error < 1e-4:
+            stale += 1
+        else:
+            stale = 0
+        history.append(error)
+        want = "stalled" if stale >= 20 else "max_epochs" if len(history) == max_epochs else None
+        assert stop_state(history, max_epochs) == (stale, want)
+        if want:
+            break
+
+
+@settings(max_examples=25, deadline=None)
+@given(lengths=st.lists(st.integers(1, 12), min_size=1, max_size=4), hidden=st.integers(1, 20),
+       momentum=st.sampled_from([0.0, 0.7]), rate=st.sampled_from([0.8, 8.0]),
+       zero=st.sampled_from([0.0, -0.0]), seed=st.integers(0, 2**16),
+       gather=st.sampled_from([1, 5, mlp.GATHER_STEPS]))
+# Its runs end after 38, 40, 40 and 24 epochs: the first and the last stall.
+@example(lengths=[12, 7, 10, 3], hidden=7, momentum=0.7, rate=8.0, zero=-0.0, seed=18,
+         gather=5)
+def test_buffered_lockstep_runs_match_the_oracle_run_alone(tmp_path_factory, lengths, hidden,
+                                                           momentum, rate, zero, seed, gather):
+    # Runs of uneven length, so the longer ones take their last steps of each
+    # epoch alone, at learning rates that stall some runs before max_epochs, so
+    # that runs leave the stack at different epochs. Zeroed columns, of either
+    # sign, give products of -0.0, which einsum stores as +0.0. A smaller
+    # GATHER_STEPS splits an epoch's steps into several gathers.
+    rng = np.random.Generator(np.random.PCG64(seed))
+    x = rng.uniform(-3, 3, (12, INPUT_SIZE))
+    x[:, rng.random(INPUT_SIZE) < 0.3] = zero
+    labels = rng.integers(0, OUTPUT_SIZE, 12)
+    rows = [rng.permutation(12)[:n] for n in lengths]
+    config = TrainingConfig(hidden_size=hidden, learning_rate=rate, momentum=momentum,
+                            max_epochs=40, seed=seed)
+    with mock.patch.object(mlp, "GATHER_STEPS", gather):
+        models, histories = train([random_model([INPUT_SIZE, hidden, OUTPUT_SIZE], seed + r)
+                                   for r in range(len(rows))], x, labels, config, rows)
+    path = tmp_path_factory.mktemp("lockstep")
+    for r, (model, history) in enumerate(zip(models, histories)):
+        want, want_history = oracle_train(
+            random_model([INPUT_SIZE, hidden, OUTPUT_SIZE], seed + r), x[rows[r]],
+            labels[rows[r]], replace(config, seed=seed + r))
+        save_model(path / "got.mlp", model)
+        save_model(path / "want.mlp", want)
+        assert history == want_history
+        assert (path / "got.mlp").read_bytes() == (path / "want.mlp").read_bytes()
 
 
 # Three lockstep runs and one run alone; `out` names the directory to write to.
