@@ -52,6 +52,16 @@ with an off-raster cell after each, give each ink cell its run's length,
 take the maximum of each of the 846 (region, direction, line) segments
 through a table of their cells, and sum the regions with add.reduceat;
 longest_runs_by_line does the same on its one window.
+
+Each family, and extract_features, also takes an (n, 32, 32) stack of
+rasters and returns one row per raster with the bits of one raster at a
+time, in a few array passes over the whole stack: the rasters of one
+chunk of extract's scans. Shadows OR, per raster and octant, one word
+per member pixel that holds the octant's three sides; centroids are one
+product of the (n, 1024) ink matrix; runs lay the lines of all rasters
+end to end and keep each length in 8 bits, since no run of the 32 grid
+is longer than 32. A raster alone keeps its own code, which is faster
+for one.
 """
 
 from __future__ import annotations
@@ -74,6 +84,8 @@ LONGEST_RUN_COUNT = 36
 VALUE_LIMIT = 1e6
 
 CSV_HEADER = ["label"] + [f"f{i}" for i in range(FEATURE_COUNT)]
+# Rows joined into one write: a few hundred kilobytes of text at most.
+CSV_ROWS = 256
 
 DIRECTIONS = ("row", "column", "diag_main", "diag_anti")
 
@@ -82,8 +94,8 @@ _CELLS = 16
 _HALF = GRID // 2
 
 
-def _build_octant_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (32, 32) octant map, the shadow table and the centroid table.
+def _build_octant_tables() -> tuple[np.ndarray, np.ndarray, tuple, np.ndarray]:
+    """The (32, 32) octant map, the shadow tables and the centroid table.
 
     The shadow table holds, per pixel and octant side, a 16-bit mask
     with the bit of the cell holding the pixel's foot on that side set,
@@ -91,8 +103,12 @@ def _build_octant_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     octant-major in the order perimeter half-edge (from the center-line
     end toward the corner), center-line segment and diagonal segment,
     the last two from the center outward. It is returned as (6, 1024)
-    64-bit words of four masks each. The (1024, 24) centroid table holds
-    each pixel's 1, row and col in columns 3k..3k + 2 of its octant k.
+    64-bit words of four masks each, for one raster, and for a stack as
+    one word per octant member pixel with the octant's three masks,
+    octant-major (1,088 words: diagonal pixels belong to two octants),
+    with each word's pixel and each octant's first word. The (1024, 24)
+    centroid table holds each pixel's 1, row and col in columns
+    3k..3k + 2 of its octant k.
     """
     row, col = np.divmod(np.arange(GRID * GRID), GRID)
     dx = (col + 0.5) - _CENTER
@@ -121,12 +137,17 @@ def _build_octant_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     t = ((dx[pix] - ax) * vx + (dy[pix] - ay) * vy) / (vx * vx + vy * vy)
     shadow = np.zeros((GRID * GRID, SHADOW_COUNT), dtype=np.uint16)
     shadow[pix, side] = 1 << np.clip(np.floor(_CELLS * t), 0, _CELLS - 1).astype(int)
+    by_octant = np.pad(shadow.reshape(-1, 8, 3), ((0, 0), (0, 0), (0, 1))).view(np.uint64)[..., 0]
+    member_octant, member_pixel = np.nonzero(members.T)
+    stacked = (member_pixel, by_octant[member_pixel, member_octant],
+               np.searchsorted(member_octant, k))
     centroid = (octant[:, None] == k)[..., None] * np.c_[np.ones(GRID * GRID), row, col][:, None]
     return (octant.reshape(GRID, GRID).astype(np.int8), shadow.view(np.uint64).T.copy(),
-            centroid.reshape(GRID * GRID, 3 * 8))
+            stacked, centroid.reshape(GRID * GRID, 3 * 8))
 
 
-_OCTANT_MAP, _SHADOW_WORDS, _CENTROID_TABLE = _build_octant_tables()
+(_OCTANT_MAP, _SHADOW_WORDS, (_MEMBER_PIXELS, _MEMBER_WORDS, _OCTANT_STARTS),
+ _CENTROID_TABLE) = _build_octant_tables()
 
 
 def octant_of(row: int, col: int) -> int:
@@ -170,13 +191,17 @@ def _line_segments(h: int, w: int, windows) -> tuple[np.ndarray, ...]:
     return flat, table, group
 
 
+def _run_lengths(line: np.ndarray, dtype=np.intp) -> np.ndarray:
+    """Each cell's run length where it is ink, else 0, for a bool line that ends blank."""
+    # Runs of ink or blank start at cell 0 and at each change.
+    starts = np.flatnonzero(line != np.append(~line[:1], line[:-1]))
+    length = np.diff(starts, append=line.size)
+    return np.repeat((length * line[starts]).astype(dtype, copy=False), length)
+
+
 def _line_maxima(ink: np.ndarray, flat: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Longest ink run touching each segment, runs traced along whole lines."""
-    line = np.append(ink.ravel(), False).take(flat)
-    # Runs of ink or blank start at cell 0 and at each change; lines end blank.
-    starts = np.flatnonzero(line != np.append(~line[0], line[:-1]))
-    length = np.diff(starts, append=line.size)
-    return np.repeat(length * line[starts], length).take(table).max(axis=0)
+    return _run_lengths(np.append(ink.ravel(), False).take(flat)).take(table).max(axis=0)
 
 
 _LINE_FLAT, _SEGMENT_TABLE, _GROUP_STARTS = _line_segments(
@@ -192,23 +217,38 @@ def _binary(img: np.ndarray) -> np.ndarray:
 
 
 def _check_canonical(img: np.ndarray) -> np.ndarray:
+    """A 32x32 raster or an (n, 32, 32) stack of them, as bool."""
     img = np.asarray(img)
-    if img.shape != (GRID, GRID):
-        raise ValueError(f"expected a {GRID}x{GRID} raster, got shape {img.shape}")
+    if img.shape != (GRID, GRID) and (img.ndim != 3 or img.shape[1:] != (GRID, GRID)):
+        raise ValueError(f"expected a {GRID}x{GRID} raster or a stack of them, "
+                         f"got shape {img.shape}")
     return _binary(img)
 
 
 def shadow_features(img: np.ndarray) -> np.ndarray:
     """24 projection-coverage values, octant-major, sides in the order
-    (perimeter, center line, diagonal)."""
-    words = _SHADOW_WORDS.compress(_check_canonical(img).ravel(), axis=1)
-    return np.bitwise_count(np.bitwise_or.reduce(words, axis=1).view(np.uint16)) / _CELLS
+    (perimeter, center line, diagonal); (n, 24) for a stack."""
+    ink = _check_canonical(img)
+    if ink.ndim == 2:
+        words = _SHADOW_WORDS.compress(ink.ravel(), axis=1)
+        return np.bitwise_count(np.bitwise_or.reduce(words, axis=1).view(np.uint16)) / _CELLS
+    n = len(ink)
+    members = ink.reshape(n, GRID * GRID).take(_MEMBER_PIXELS, axis=1)
+    words = np.bitwise_or.reduceat(np.where(members, _MEMBER_WORDS, 0), _OCTANT_STARTS, axis=1)
+    masks = words.view(np.uint16).reshape(n, 8, 4)[..., :3]
+    return np.bitwise_count(masks).reshape(n, SHADOW_COUNT) / _CELLS
 
 
 def centroid_features(img: np.ndarray) -> np.ndarray:
-    """16 values: (mean row, mean col) / 31 per octant, 0s when empty."""
-    sums = (_check_canonical(img).ravel().astype(np.float64) @ _CENTROID_TABLE).reshape(8, 3)
-    return (sums[:, 1:] / np.maximum(sums[:, :1], 1)).ravel() / (GRID - 1)
+    """16 values: (mean row, mean col) / 31 per octant, 0s when empty;
+    (n, 16) for a stack."""
+    ink = _check_canonical(img)
+    if ink.ndim == 2:
+        sums = (ink.ravel().astype(np.float64) @ _CENTROID_TABLE).reshape(8, 3)
+        return (sums[:, 1:] / np.maximum(sums[:, :1], 1)).ravel() / (GRID - 1)
+    n = len(ink)
+    sums = (ink.reshape(n, GRID * GRID).astype(np.float64) @ _CENTROID_TABLE).reshape(n, 8, 3)
+    return (sums[:, :, 1:] / np.maximum(sums[:, :, :1], 1)).reshape(n, CENTROID_COUNT) / (GRID - 1)
 
 
 def longest_runs_by_line(img: np.ndarray, rows: tuple[int, int],
@@ -236,20 +276,34 @@ def longest_runs_by_line(img: np.ndarray, rows: tuple[int, int],
 
 
 def longest_run_features(img: np.ndarray) -> np.ndarray:
-    """36 normalized run sums: 9 regions x 4 directions.
+    """36 normalized run sums: 9 regions x 4 directions; (n, 36) for a stack.
 
     Regions are the half-size windows anchored at rows/cols {0, 8, 16}
     in row-major order; directions follow DIRECTIONS. Each sum is
     divided by 1024.
     """
-    best = _line_maxima(_check_canonical(img), _LINE_FLAT, _SEGMENT_TABLE)
-    return np.add.reduceat(best, _GROUP_STARTS) / (GRID * GRID)
+    ink = _check_canonical(img)
+    if ink.ndim == 2:
+        best = _line_maxima(ink, _LINE_FLAT, _SEGMENT_TABLE)
+        return np.add.reduceat(best, _GROUP_STARTS) / (GRID * GRID)
+    # The stack's lines end to end, raster after raster: each raster's
+    # lines end blank, so no run reaches into the next, and no run of the
+    # 32 grid is longer than 32, so 8 bits hold its length.
+    n = len(ink)
+    cells = np.concatenate([ink.reshape(n, GRID * GRID), np.zeros((n, 1), dtype=bool)], axis=1)
+    lines = cells.take(_LINE_FLAT, axis=1)
+    runs = _run_lengths(lines.ravel(), np.uint8).reshape(lines.shape)
+    best = np.ascontiguousarray(runs.T).take(_SEGMENT_TABLE, axis=0).max(axis=0)
+    return np.add.reduceat(best, _GROUP_STARTS, dtype=np.intp).T / (GRID * GRID)
 
 
 def extract_features(img: np.ndarray) -> np.ndarray:
-    """Full 76-element vector: shadows, centroids, longest runs."""
+    """Full 76-element vector: shadows, centroids, longest runs. An
+    (n, 32, 32) stack of rasters gives an (n, 76) matrix, row i that of
+    raster i, bit for bit."""
     ink = _check_canonical(img)  # bool: each family's own check then tests the shape only
-    return np.concatenate([shadow_features(ink), centroid_features(ink), longest_run_features(ink)])
+    return np.concatenate([shadow_features(ink), centroid_features(ink),
+                           longest_run_features(ink)], axis=-1)
 
 
 def digit_labels(labels, count: int) -> np.ndarray:
@@ -271,11 +325,13 @@ def write_features_csv(path: str | Path, labels, features) -> None:
     labels = digit_labels(labels, len(features))
     if not (np.abs(features) <= VALUE_LIMIT).all():
         raise ValueError("feature value non-finite or outside [-1e6, 1e6]")
+    # csv.writer's bytes: no name, int or float repr needs quoting, and lines end \r\n.
+    labels = labels.tolist()
     with atomic_open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for label, row in zip(labels.tolist(), features):
-            writer.writerow([label, *map(repr, row.tolist())])
+        fh.write(",".join(CSV_HEADER) + "\r\n")
+        for first in range(0, len(labels), CSV_ROWS):
+            rows = zip(labels[first:first + CSV_ROWS], features[first:first + CSV_ROWS].tolist())
+            fh.write("".join([",".join(map(repr, (label, *row))) + "\r\n" for label, row in rows]))
 
 
 def read_features_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:

@@ -69,6 +69,28 @@ def otsu_threshold(gray: np.ndarray) -> int:
     return int(np.argmax(var)) + lo + 1
 
 
+def otsu_thresholds(hists: np.ndarray) -> np.ndarray:
+    """otsu_threshold of each row of an (n, 256) stack of gray-level counts,
+    each row counting at least one pixel.
+
+    Every row scores all 255 cuts with otsu_threshold's per-element
+    arithmetic, and a cut that leaves a class empty scores -1, below
+    every other, so the argmax and its ties are otsu_threshold's.
+    """
+    hists = np.asarray(hists, dtype=np.float64)
+    # Column t - 1 holds the cut at t: n0 pixels below t, n1 at or above.
+    n0 = np.cumsum(hists, axis=1)[:, :-1]
+    n1 = hists.sum(axis=1, keepdims=True) - n0
+    split = (n0 > 0) & (n1 > 0)
+    cum_v = np.cumsum(hists * np.arange(256), axis=1)
+    # Cuts that leave a class empty divide by 1 instead of 0; -1 replaces their score.
+    mu0 = cum_v[:, :-1] / np.where(split, n0, 1)
+    mu1 = (cum_v[:, -1:] - cum_v[:, :-1]) / np.where(split, n1, 1)
+    var = np.where(split, n0 * n1 * (mu0 - mu1) ** 2, -1)
+    one_level = np.minimum(hists.argmax(axis=1) + 1, 255)
+    return np.where(split.any(axis=1), var.argmax(axis=1) + 1, one_level)
+
+
 def minimal_bounding_box(binary: np.ndarray) -> BoundingBox:
     """Tightest row/col box around the ink. Raises NoForegroundError."""
     binary = np.asarray(binary)
@@ -120,3 +142,65 @@ def normalize_image(gray: np.ndarray, threshold: int | None = DEFAULT_THRESHOLD,
     box = minimal_bounding_box(binarize(gray, t, invert))
     crop = gray[box.row_min:box.row_max + 1, box.col_min:box.col_max + 1]
     return binarize(bilinear_resize(crop, GRID, GRID), t, invert)
+
+
+def _sample_grid(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """bilinear_resize's sampling of an (n, 1) column of source lengths at GRID
+    outputs: the lower and upper source index and the upper one's weight, each (n, GRID)."""
+    pos = np.arange(GRID) * ((sizes - 1) / (GRID - 1))
+    lower = np.floor(pos).astype(np.intp)
+    return lower, np.minimum(lower + 1, sizes - 1), pos - lower
+
+
+def normalize_images(grays, threshold: int | None = DEFAULT_THRESHOLD,
+                     invert: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """normalize_image of each of a sequence of 2-D uint8 scans, in array
+    passes over all of them.
+
+    Returns an (m, 32, 32) uint8 stack of the rasters of the m scans
+    that have ink, in order, and an (n,) bool vector marking those
+    scans. Each raster equals normalize_image's bit for bit: Otsu runs
+    over the stacked histograms, each scan's bounding box comes from its
+    row and column extremes, all crops are sampled into one stack with
+    bilinear_resize's per-element arithmetic, and the stack is
+    thresholded once.
+    """
+    grays = list(grays)
+    if not all(isinstance(g, np.ndarray) and g.dtype == np.uint8 and g.ndim == 2 for g in grays):
+        raise ValueError("expected 2-D uint8 images")
+    if threshold is None:
+        hists = [np.bincount(gray.ravel(), minlength=256) for gray in grays]
+        cuts = otsu_thresholds(np.reshape(hists, (len(grays), 256)))
+    elif 0 <= threshold <= 255:
+        cuts = np.full(len(grays), threshold)
+    else:
+        raise ValueError(f"threshold {threshold} outside 0..255")
+    # binarize's rule: a row or column holds ink when its extreme level does.
+    extreme, inked = (np.maximum, np.greater_equal) if invert else (np.minimum, np.less)
+    found, boxes, start = [], [], 0
+    for gray, cut in zip(grays, cuts.tolist()):
+        rows = np.flatnonzero(inked(extreme.reduce(gray, axis=1), cut))
+        found.append(rows.size > 0)
+        if rows.size:
+            cols = np.flatnonzero(inked(extreme.reduce(gray, axis=0), cut))
+            stride = gray.shape[1]
+            boxes.append((start + rows[0] * stride, rows[-1] - rows[0] + 1,
+                          cols[0], cols[-1] - cols[0] + 1, stride))
+        start += gray.size
+    found = np.array(found, dtype=bool)
+    if not boxes:
+        return np.zeros((0, GRID, GRID), dtype=np.uint8), found
+    # The crops as flat offsets into all scans laid end to end.
+    corner, height, left, width, stride = np.array(boxes, dtype=np.intp).T[..., None]
+    y0, y1, fy = _sample_grid(height)
+    x0, x1, fx = _sample_grid(width)
+    src = np.concatenate([gray.ravel() for gray in grays])
+
+    def sample(y, x):
+        return src.take((corner + y * stride)[:, :, None] + (left + x)[:, None, :])
+
+    fx, fy = fx[:, None, :], fy[:, :, None]
+    top = sample(y0, x0) * (1 - fx) + sample(y0, x1) * fx
+    bottom = sample(y1, x0) * (1 - fx) + sample(y1, x1) * fx
+    scaled = top * (1 - fy) + bottom * fy
+    return inked(scaled, cuts[found][:, None, None]).view(np.uint8), found

@@ -13,8 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import digitrec
-from digitrec.cli import (_load_dataset, _training_inputs, build_parser, main, parse_sizes,
-                          parse_threshold, UsageError)
+from digitrec.cli import (MAX_SWEEP_SIZES, _load_dataset, _training_inputs, build_parser, main,
+                          parse_sizes, parse_threshold, UsageError)
 from digitrec.evaluation import format_accuracy, make_toy_dataset, toy_glyph
 from digitrec.features import CSV_HEADER, read_features_csv, write_features_csv
 from digitrec.imgproc import DEFAULT_THRESHOLD
@@ -79,42 +79,52 @@ def test_parse_sizes_range_and_list():
             parse_sizes(bad)
 
 
+def main_under_2_gib(*argv):
+    """digitrec argv in a child process whose address space is capped at
+    2 GiB, so that a huge allocation fails there at once, never here."""
+    script = ("import resource, sys\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+              "from digitrec.cli import main\n"
+              "sys.exit(main(sys.argv[1:]))\n")
+    src = os.path.dirname(os.path.dirname(digitrec.__file__))
+    return subprocess.run([sys.executable, "-c", script, *map(str, argv)],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+
+
 @pytest.mark.parametrize("argv", [
     ["train", "--hidden", "99999999999999999999", "--model-out"],
     ["train", "--hidden", "10000000000", "--model-out"],
     ["sweep", "--sizes", "1:100000000000:1", "--report-out"],
 ], ids=["train-20-digits", "train-1e10", "sweep-range"])
 def test_sizes_the_model_file_cannot_hold_are_usage_errors(feature_csv, tmp_path, argv):
-    # Each once reached exit 3 through a huge allocation, so each runs in a
-    # child process whose address space is capped at 2 GiB.
-    script = ("import resource, sys\n"
-              "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
-              "from digitrec.cli import main\n"
-              "sys.exit(main(sys.argv[1:]))\n")
-    src = os.path.dirname(os.path.dirname(digitrec.__file__))
-    result = subprocess.run(
-        [sys.executable, "-c", script, argv[0], str(feature_csv), "--epochs", "1", *argv[1:],
-         str(tmp_path / "out")],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    # Each once reached exit 3 through a huge allocation.
+    result = main_under_2_gib(argv[0], feature_csv, "--epochs", "1", *argv[1:], tmp_path / "out")
     assert result.returncode == 1
     assert result.stdout == ""
     assert re.fullmatch(r"digitrec: [^\n]*4294967295[^\n]*\n", result.stderr), result.stderr
     assert list(tmp_path.iterdir()) == []
 
 
+def test_a_sweep_of_too_many_sizes_is_a_usage_error(feature_csv, tmp_path):
+    # Every size fits the model file, but the range once became a list of
+    # 4 billion ints before any check: out of memory, exit 2, under the cap.
+    result = main_under_2_gib("sweep", feature_csv, "--sizes", "1:4294967295:1", "--epochs", "1",
+                              "--report-out", tmp_path / "out")
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == (f"digitrec: at most {MAX_SWEEP_SIZES} sizes, not 4294967295, "
+                             "in '1:4294967295:1'\n")
+    assert list(tmp_path.iterdir()) == []
+    assert len(parse_sizes(f"1:{MAX_SWEEP_SIZES}:1")) == MAX_SWEEP_SIZES
+    for spec in (f"1:{MAX_SWEEP_SIZES + 1}:1", ",".join(map(str, range(1, MAX_SWEEP_SIZES + 2)))):
+        with pytest.raises(UsageError, match=f"not {MAX_SWEEP_SIZES + 1}, in"):
+            parse_sizes(spec)
+
+
 def test_a_size_that_does_not_fit_in_memory_is_a_data_error(feature_csv, tmp_path):
     # 4e9 is a size the model file can hold, but its (H, 77) matrix is 2.2 TiB.
-    # The child's address space is capped at 2 GiB, so the allocation fails
-    # there at once, and never in this process.
-    script = ("import resource, sys\n"
-              "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
-              "from digitrec.cli import main\n"
-              "sys.exit(main(sys.argv[1:]))\n")
-    src = os.path.dirname(os.path.dirname(digitrec.__file__))
-    result = subprocess.run(
-        [sys.executable, "-c", script, "train", str(feature_csv), "--hidden", "4000000000",
-         "--epochs", "1", "--model-out", str(tmp_path / "out")],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    result = main_under_2_gib("train", feature_csv, "--hidden", "4000000000", "--epochs", "1",
+                              "--model-out", tmp_path / "out")
     assert result.returncode == 2
     assert result.stdout == ""
     assert re.fullmatch(r"digitrec: out of memory for hidden size 4000000000: [^\n]+\n",

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import math
 
 import numpy as np
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from digitrec.evaluation import make_toy_dataset
-from digitrec.features import (CENTROID_COUNT, CSV_HEADER, DIRECTIONS,
+from digitrec.features import (CENTROID_COUNT, CSV_HEADER, CSV_ROWS, DIRECTIONS,
                                FEATURE_COUNT, LONGEST_RUN_COUNT, SHADOW_COUNT,
                                centroid_features, extract_features,
                                longest_run_features, longest_runs_by_line,
@@ -512,6 +514,29 @@ def test_feature_csv_roundtrip_is_exact(tmp_path):
     assert got_vectors.dtype == np.float64 and got_vectors.shape == (6, FEATURE_COUNT)
     assert np.array_equal(got_vectors, vectors)
     assert np.array_equal(np.signbit(got_vectors), np.signbit(vectors))
+
+
+CSV_EXTREMES = [0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 2.2250738585072009e-308,
+                1e6, -1e6, np.nextafter(1e6, 0), 0.1, 1 / 3]
+
+
+@settings(deadline=None, max_examples=100)
+@given(arrays(np.float64, st.tuples(st.integers(1, 3), st.just(FEATURE_COUNT)),
+              elements=st.one_of(st.floats(-1e6, 1e6), st.sampled_from(CSV_EXTREMES),
+                                 st.integers(-10**6, 10**6).map(float))),
+       arrays(np.int64, 3, elements=st.integers(0, 9)), st.integers(0, 2 * CSV_ROWS + 1))
+def test_feature_csv_bytes_are_csv_writers(tmp_path_factory, block, label_block, n):
+    # Subnormals, signed zeros and whole numbers included; n rows, tiled
+    # from the drawn ones, cross the writer's chunks of CSV_ROWS rows.
+    features, labels = np.resize(block, (n, FEATURE_COUNT)), np.resize(label_block, n)
+    want = io.StringIO(newline="")
+    writer = csv.writer(want)
+    writer.writerow(CSV_HEADER)
+    for label, row in zip(labels.tolist(), features):
+        writer.writerow([label, *map(repr, row.tolist())])
+    path = tmp_path_factory.mktemp("csv") / "features.csv"
+    write_features_csv(path, labels, features)
+    assert path.read_bytes() == want.getvalue().encode()
 
 
 def test_feature_csv_of_no_rows_reads_as_empty_arrays(tmp_path):
