@@ -85,6 +85,7 @@ def parse_sizes(spec: str) -> list[int]:
 # Scans of one class read and extracted together. On 100 scans a class,
 # chunks of 16 ran as fast as chunks of 32 or 128 and raised peak memory
 # 0.8 MB over one scan at a time; a whole class at once raised it 5.4 MB.
+# A chunk's scans are held at once, so the rise grows with the scan size.
 CHUNK = 16
 
 

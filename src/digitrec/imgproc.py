@@ -48,34 +48,26 @@ def binarize(gray: np.ndarray, threshold: int = DEFAULT_THRESHOLD,
 def otsu_threshold(gray: np.ndarray) -> int:
     """Pick the threshold that maximizes between-class variance.
 
-    A cut t splits pixels into {v < t} and {v >= t}. Only the cuts
-    lo+1..hi between the first and last occupied levels leave both
-    classes non-empty, so only they are scored; ties resolve to the
-    smallest t. A one-level image gives level + 1, at most 255. An
+    A cut t splits pixels into {v < t} and {v >= t}. This is
+    otsu_thresholds on the image's histogram: ties resolve to the
+    smallest t, and a one-level image gives level + 1, at most 255. An
     image with no pixels raises ValueError.
     """
-    hist = np.bincount(np.asarray(gray, dtype=np.uint8).ravel(), minlength=256).astype(np.float64)
-    occupied = np.flatnonzero(hist)
-    if occupied.size == 0:
+    gray = np.asarray(gray, dtype=np.uint8)
+    if gray.size == 0:
         raise ValueError("cannot threshold an image with no pixels")
-    lo, hi = int(occupied[0]), int(occupied[-1])
-    if lo == hi:
-        return min(lo + 1, 255)
-    cum_v = np.cumsum(hist * np.arange(256))
-    # Index t - 1 holds the split at t: n0 pixels below t, n1 at or above.
-    n0 = np.cumsum(hist)[lo:hi]
-    n1 = hist.sum() - n0
-    var = n0 * n1 * (cum_v[lo:hi] / n0 - (cum_v[-1] - cum_v[lo:hi]) / n1) ** 2
-    return int(np.argmax(var)) + lo + 1
+    return int(otsu_thresholds(np.bincount(gray.ravel(), minlength=256)[None])[0])
 
 
 def otsu_thresholds(hists: np.ndarray) -> np.ndarray:
-    """otsu_threshold of each row of an (n, 256) stack of gray-level counts,
+    """The Otsu cut of each row of an (n, 256) stack of gray-level counts,
     each row counting at least one pixel.
 
-    Every row scores all 255 cuts with otsu_threshold's per-element
-    arithmetic, and a cut that leaves a class empty scores -1, below
-    every other, so the argmax and its ties are otsu_threshold's.
+    Only the cuts lo+1..hi between a row's first and last occupied
+    levels leave both classes non-empty. Every row scores all 255 cuts,
+    and a cut that leaves a class empty scores -1, below every other;
+    ties resolve to the smallest cut, and a one-level row, which has no
+    other, gives level + 1, at most 255.
     """
     hists = np.asarray(hists, dtype=np.float64)
     # Column t - 1 holds the cut at t: n0 pixels below t, n1 at or above.
@@ -177,27 +169,25 @@ def normalize_images(grays, threshold: int | None = DEFAULT_THRESHOLD,
         raise ValueError(f"threshold {threshold} outside 0..255")
     # binarize's rule: a row or column holds ink when its extreme level does.
     extreme, inked = (np.maximum, np.greater_equal) if invert else (np.minimum, np.less)
-    found, boxes, start = [], [], 0
+    found, crops = [], []
     for gray, cut in zip(grays, cuts.tolist()):
         rows = np.flatnonzero(inked(extreme.reduce(gray, axis=1), cut))
         found.append(rows.size > 0)
         if rows.size:
             cols = np.flatnonzero(inked(extreme.reduce(gray, axis=0), cut))
-            stride = gray.shape[1]
-            boxes.append((start + rows[0] * stride, rows[-1] - rows[0] + 1,
-                          cols[0], cols[-1] - cols[0] + 1, stride))
-        start += gray.size
+            crops.append(gray[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1])
     found = np.array(found, dtype=bool)
-    if not boxes:
+    if not crops:
         return np.zeros((0, GRID, GRID), dtype=np.uint8), found
-    # The crops as flat offsets into all scans laid end to end.
-    corner, height, left, width, stride = np.array(boxes, dtype=np.intp).T[..., None]
+    # The crops laid end to end, row-major: each crop's pixels from its corner.
+    height, width = np.array([crop.shape for crop in crops], dtype=np.intp).T[..., None]
+    corner = np.cumsum(height * width, axis=0) - height * width
     y0, y1, fy = _sample_grid(height)
     x0, x1, fx = _sample_grid(width)
-    src = np.concatenate([gray.ravel() for gray in grays])
+    src = np.concatenate([crop.ravel() for crop in crops])
 
     def sample(y, x):
-        return src.take((corner + y * stride)[:, :, None] + (left + x)[:, None, :])
+        return src.take((corner + y * width)[:, :, None] + x[:, None, :])
 
     fx, fy = fx[:, None, :], fy[:, :, None]
     top = sample(y0, x0) * (1 - fx) + sample(y0, x1) * fx

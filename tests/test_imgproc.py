@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from digitrec.imgproc import (GRID, BoundingBox, NoForegroundError, binarize,
                               bilinear_resize, minimal_bounding_box,
-                              normalize_image, otsu_threshold)
+                              normalize_image, otsu_threshold, otsu_thresholds)
 
 
 def reference_bilinear(src, out_h, out_w):
@@ -266,3 +266,19 @@ def test_otsu_of_a_one_level_image_is_the_next_level():
     # No cut leaves both classes non-empty; the image's mean is its level.
     got = [otsu_threshold(np.full((2, 3), v, dtype=np.uint8)) for v in range(256)]
     assert got == [min(v + 1, 255) for v in range(256)]
+
+
+def test_otsu_of_a_stack_is_each_rows_cut():
+    # Random, few-level and one-level images side by side in one stack.
+    rng = np.random.Generator(np.random.PCG64(11))
+    grays = []
+    for i in range(60):
+        shape = tuple(int(n) for n in rng.integers(1, 30, size=2))
+        levels = rng.choice(256, size=int(rng.integers(1, 4)), replace=False)
+        grays.append(rng.integers(0, 256, size=shape, dtype=np.uint8) if i % 2
+                     else rng.choice(levels, size=shape).astype(np.uint8))
+    hists = np.array([np.bincount(g.ravel(), minlength=256) for g in grays])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = otsu_thresholds(hists)
+    assert got.tolist() == [oracle_otsu(g) for g in grays]
