@@ -42,26 +42,23 @@ runs are traced across the full image and keep any length they gain
 outside the region. The per-line maxima are summed over the region's
 lines and the sum is divided by 1024.
 
-All three families are array operations on the flat ink vector and
-tables fixed at import. Shadows OR per-pixel cell masks, four sides to
-a 64-bit word, and count the marked cells. Centroids are one product of
-the ink with each pixel's 1, row and col in its octant's columns; every
-sum is an integer below 2**53, so they are exact on any BLAS kernel.
-Longest runs gather the raster into its 190 scan lines, laid end to end
-with an off-raster cell after each, give each ink cell its run's length,
-take the maximum of each of the 846 (region, direction, line) segments
-through a table of their cells, and sum the regions with add.reduceat;
-longest_runs_by_line does the same on its one window.
-
-Each family, and extract_features, also takes an (n, 32, 32) stack of
-rasters and returns one row per raster with the bits of one raster at a
-time, in a few array passes over the whole stack: the rasters of one
-chunk of extract's scans. Shadows OR, per raster and octant, one word
-per member pixel that holds the octant's three sides; centroids are one
-product of the (n, 1024) ink matrix; runs lay the lines of all rasters
-end to end and keep each length in 8 bits, since no run of the 32 grid
-is longer than 32. A raster alone keeps its own code, which is faster
-for one.
+Each family, and extract_features, takes a 32x32 raster or an
+(n, 32, 32) stack of them, such as the rasters of one chunk of extract's
+scans, and returns one row per raster in a few array passes over the
+whole stack; a raster alone is a stack of one and gets its row back.
+All three families are array operations on the (n, 1024) ink matrix and
+tables fixed at import. Shadows OR, per raster and octant, one 64-bit
+word per member pixel that holds its cells on the octant's three sides,
+and count the marked cells. Centroids are one product of the ink with
+each pixel's 1, row and col in its octant's columns; every sum is an
+integer below 2**53, so they are exact on any BLAS kernel. Longest runs
+gather each raster into its 190 scan lines, laid end to end with an
+off-raster cell after each, so no run reaches into the next line or
+raster, give each ink cell its run's length, take the maximum of each
+of the 846 (region, direction, line) segments through a table of their
+cells, and sum the regions with add.reduceat. No run of the 32 grid is
+longer than 32, so 8 bits hold its length; longest_runs_by_line does
+the same on its one window of any size, in intp.
 """
 
 from __future__ import annotations
@@ -94,17 +91,16 @@ _CELLS = 16
 _HALF = GRID // 2
 
 
-def _build_octant_tables() -> tuple[np.ndarray, np.ndarray, tuple, np.ndarray]:
-    """The (32, 32) octant map, the shadow tables and the centroid table.
+def _build_octant_tables() -> tuple[np.ndarray, tuple, np.ndarray]:
+    """The (32, 32) octant map, the shadow table and the centroid table.
 
     The shadow table holds, per pixel and octant side, a 16-bit mask
     with the bit of the cell holding the pixel's foot on that side set,
     or 0 where the pixel casts no shadow into that octant. Sides run
     octant-major in the order perimeter half-edge (from the center-line
     end toward the corner), center-line segment and diagonal segment,
-    the last two from the center outward. It is returned as (6, 1024)
-    64-bit words of four masks each, for one raster, and for a stack as
-    one word per octant member pixel with the octant's three masks,
+    the last two from the center outward. It is returned as one 64-bit
+    word per octant member pixel with the octant's three masks,
     octant-major (1,088 words: diagonal pixels belong to two octants),
     with each word's pixel and each octant's first word. The (1024, 24)
     centroid table holds each pixel's 1, row and col in columns
@@ -142,12 +138,11 @@ def _build_octant_tables() -> tuple[np.ndarray, np.ndarray, tuple, np.ndarray]:
     stacked = (member_pixel, by_octant[member_pixel, member_octant],
                np.searchsorted(member_octant, k))
     centroid = (octant[:, None] == k)[..., None] * np.c_[np.ones(GRID * GRID), row, col][:, None]
-    return (octant.reshape(GRID, GRID).astype(np.int8), shadow.view(np.uint64).T.copy(),
-            stacked, centroid.reshape(GRID * GRID, 3 * 8))
+    return (octant.reshape(GRID, GRID).astype(np.int8), stacked,
+            centroid.reshape(GRID * GRID, 3 * 8))
 
 
-(_OCTANT_MAP, _SHADOW_WORDS, (_MEMBER_PIXELS, _MEMBER_WORDS, _OCTANT_STARTS),
- _CENTROID_TABLE) = _build_octant_tables()
+_OCTANT_MAP, (_MEMBER_PIXELS, _MEMBER_WORDS, _OCTANT_STARTS), _CENTROID_TABLE = _build_octant_tables()
 
 
 def octant_of(row: int, col: int) -> int:
@@ -191,17 +186,18 @@ def _line_segments(h: int, w: int, windows) -> tuple[np.ndarray, ...]:
     return flat, table, group
 
 
-def _run_lengths(line: np.ndarray, dtype=np.intp) -> np.ndarray:
-    """Each cell's run length where it is ink, else 0, for a bool line that ends blank."""
+def _line_maxima(rows: np.ndarray, flat: np.ndarray, table: np.ndarray, dtype) -> np.ndarray:
+    """Longest ink run touching each segment, runs traced along whole lines,
+    of each of the (n, h * w) bool rows of ink: (segments, n), in dtype."""
+    # Each raster's lines end to end, raster after raster: every line
+    # ends blank, so no run reaches into the next line or raster.
+    lines = np.concatenate([rows, np.zeros((len(rows), 1), dtype=bool)], axis=1).take(flat, axis=1)
+    line = lines.ravel()
     # Runs of ink or blank start at cell 0 and at each change.
     starts = np.flatnonzero(line != np.append(~line[:1], line[:-1]))
     length = np.diff(starts, append=line.size)
-    return np.repeat((length * line[starts]).astype(dtype, copy=False), length)
-
-
-def _line_maxima(ink: np.ndarray, flat: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Longest ink run touching each segment, runs traced along whole lines."""
-    return _run_lengths(np.append(ink.ravel(), False).take(flat)).take(table).max(axis=0)
+    runs = np.repeat((length * line[starts]).astype(dtype, copy=False), length).reshape(lines.shape)
+    return np.ascontiguousarray(runs.T).take(table, axis=0).max(axis=0)
 
 
 _LINE_FLAT, _SEGMENT_TABLE, _GROUP_STARTS = _line_segments(
@@ -229,26 +225,19 @@ def shadow_features(img: np.ndarray) -> np.ndarray:
     """24 projection-coverage values, octant-major, sides in the order
     (perimeter, center line, diagonal); (n, 24) for a stack."""
     ink = _check_canonical(img)
-    if ink.ndim == 2:
-        words = _SHADOW_WORDS.compress(ink.ravel(), axis=1)
-        return np.bitwise_count(np.bitwise_or.reduce(words, axis=1).view(np.uint16)) / _CELLS
-    n = len(ink)
-    members = ink.reshape(n, GRID * GRID).take(_MEMBER_PIXELS, axis=1)
-    words = np.bitwise_or.reduceat(np.where(members, _MEMBER_WORDS, 0), _OCTANT_STARTS, axis=1)
-    masks = words.view(np.uint16).reshape(n, 8, 4)[..., :3]
-    return np.bitwise_count(masks).reshape(n, SHADOW_COUNT) / _CELLS
+    members = ink.reshape(-1, GRID * GRID).take(_MEMBER_PIXELS, axis=1)
+    words = np.bitwise_or.reduceat(_MEMBER_WORDS * members, _OCTANT_STARTS, axis=1)
+    masks = words.view(np.uint16).reshape(-1, 8, 4)[..., :3]
+    return np.bitwise_count(masks).reshape(ink.shape[:-2] + (SHADOW_COUNT,)) / _CELLS
 
 
 def centroid_features(img: np.ndarray) -> np.ndarray:
     """16 values: (mean row, mean col) / 31 per octant, 0s when empty;
     (n, 16) for a stack."""
     ink = _check_canonical(img)
-    if ink.ndim == 2:
-        sums = (ink.ravel().astype(np.float64) @ _CENTROID_TABLE).reshape(8, 3)
-        return (sums[:, 1:] / np.maximum(sums[:, :1], 1)).ravel() / (GRID - 1)
-    n = len(ink)
-    sums = (ink.reshape(n, GRID * GRID).astype(np.float64) @ _CENTROID_TABLE).reshape(n, 8, 3)
-    return (sums[:, :, 1:] / np.maximum(sums[:, :, :1], 1)).reshape(n, CENTROID_COUNT) / (GRID - 1)
+    sums = (ink.reshape(-1, GRID * GRID).astype(np.float64) @ _CENTROID_TABLE).reshape(-1, 8, 3)
+    means = sums[..., 1:] / np.maximum(sums[..., :1], 1)
+    return means.reshape(ink.shape[:-2] + (CENTROID_COUNT,)) / (GRID - 1)
 
 
 def longest_runs_by_line(img: np.ndarray, rows: tuple[int, int],
@@ -271,7 +260,7 @@ def longest_runs_by_line(img: np.ndarray, rows: tuple[int, int],
     if direction not in DIRECTIONS:
         raise ValueError(f"unknown direction {direction!r}")
     flat, table, group = _line_segments(h, w, [(rows, cols)])
-    best = _line_maxima(_binary(img), flat, table)
+    best = _line_maxima(_binary(img).reshape(1, h * w), flat, table, np.intp)[:, 0]
     return np.split(best, group[1:])[DIRECTIONS.index(direction)].tolist()
 
 
@@ -283,18 +272,10 @@ def longest_run_features(img: np.ndarray) -> np.ndarray:
     divided by 1024.
     """
     ink = _check_canonical(img)
-    if ink.ndim == 2:
-        best = _line_maxima(ink, _LINE_FLAT, _SEGMENT_TABLE)
-        return np.add.reduceat(best, _GROUP_STARTS) / (GRID * GRID)
-    # The stack's lines end to end, raster after raster: each raster's
-    # lines end blank, so no run reaches into the next, and no run of the
-    # 32 grid is longer than 32, so 8 bits hold its length.
-    n = len(ink)
-    cells = np.concatenate([ink.reshape(n, GRID * GRID), np.zeros((n, 1), dtype=bool)], axis=1)
-    lines = cells.take(_LINE_FLAT, axis=1)
-    runs = _run_lengths(lines.ravel(), np.uint8).reshape(lines.shape)
-    best = np.ascontiguousarray(runs.T).take(_SEGMENT_TABLE, axis=0).max(axis=0)
-    return np.add.reduceat(best, _GROUP_STARTS, dtype=np.intp).T / (GRID * GRID)
+    # No run of the 32 grid is longer than 32, so 8 bits hold its length.
+    best = _line_maxima(ink.reshape(-1, GRID * GRID), _LINE_FLAT, _SEGMENT_TABLE, np.uint8)
+    sums = np.add.reduceat(best, _GROUP_STARTS, dtype=np.intp).T
+    return sums.reshape(ink.shape[:-2] + (LONGEST_RUN_COUNT,)) / (GRID * GRID)
 
 
 def extract_features(img: np.ndarray) -> np.ndarray:

@@ -93,26 +93,47 @@ def minimal_bounding_box(binary: np.ndarray) -> BoundingBox:
     return BoundingBox(int(rows[0]), int(rows[-1]), int(cols[0]), int(cols[-1]))
 
 
+def _sample_grid(sizes, out: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """bilinear_resize's sampling of a source length, or an (n, 1) column of
+    them, at out outputs: the lower and upper source index and the upper
+    one's weight, each (out,) or (n, out)."""
+    pos = np.arange(out) * ((sizes - 1) / max(out - 1, 1))
+    lower = np.floor(pos).astype(np.intp)
+    return lower, np.minimum(lower + 1, sizes - 1), pos - lower
+
+
 def bilinear_resize(src: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Resample a grayscale array to (out_h, out_w) by bilinear blending.
 
     Corner-aligned sampling: output pixel i reads source coordinate
     i*(n_src-1)/(n_out-1), so the four corners map exactly onto the
     source corners and same-size resampling is the identity. Aspect
-    ratio is not preserved; each axis stretches independently.
+    ratio is not preserved; each axis stretches independently. The
+    source's own samples are gathered and then blended in float64.
     """
-    src = np.asarray(src, dtype=np.float64)
+    src = np.asarray(src)
     h, w = src.shape
-    ys = np.arange(out_h) * ((h - 1) / (out_h - 1)) if out_h > 1 else np.zeros(1)
-    xs = np.arange(out_w) * ((w - 1) / (out_w - 1)) if out_w > 1 else np.zeros(1)
-    y0 = np.floor(ys).astype(int)
-    x0 = np.floor(xs).astype(int)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    fy = (ys - y0)[:, None]
-    fx = xs - x0
+    y0, y1, fy = _sample_grid(h, out_h)
+    x0, x1, fx = _sample_grid(w, out_w)
     cols = src[:, x0] * (1 - fx) + src[:, x1] * fx  # every source row, at the output columns
-    return cols[y0] * (1 - fy) + cols[y1] * fy
+    return cols[y0] * (1 - fy[:, None]) + cols[y1] * fy[:, None]
+
+
+def _ink_crop(gray: np.ndarray, cut, invert: bool) -> np.ndarray | None:
+    """gray cropped to the bounding box of its ink at cut, or None without
+    ink. binarize's rule decides: a row or column holds ink when its extreme
+    level does. An image that is not 2-D or has no pixels is a ValueError."""
+    if gray.ndim != 2:
+        raise ValueError(f"expected a 2-D image, got shape {gray.shape}")
+    if gray.size == 0:
+        raise ValueError("cannot threshold an image with no pixels")
+    # fmin and fmax skip NaN, which binarize never counts as ink.
+    extreme, inked = (np.fmax, np.greater_equal) if invert else (np.fmin, np.less)
+    rows = np.flatnonzero(inked(extreme.reduce(gray, axis=1), cut))
+    if not rows.size:
+        return None
+    cols = np.flatnonzero(inked(extreme.reduce(gray, axis=0), cut))
+    return gray[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
 
 
 def normalize_image(gray: np.ndarray, threshold: int | None = DEFAULT_THRESHOLD,
@@ -127,21 +148,17 @@ def normalize_image(gray: np.ndarray, threshold: int | None = DEFAULT_THRESHOLD,
 
     threshold=None selects the cutoff automatically with
     otsu_threshold on the input image. Raises NoForegroundError when
-    nothing survives the provisional threshold.
+    nothing survives the provisional threshold, and ValueError for an
+    image with no pixels.
     """
     gray = np.asarray(gray)
     t = otsu_threshold(gray) if threshold is None else threshold
-    box = minimal_bounding_box(binarize(gray, t, invert))
-    crop = gray[box.row_min:box.row_max + 1, box.col_min:box.col_max + 1]
+    if not 0 <= t <= 255:
+        raise ValueError(f"threshold {t} outside 0..255")
+    crop = _ink_crop(gray, t, invert)
+    if crop is None:
+        raise NoForegroundError("image has no foreground pixels")
     return binarize(bilinear_resize(crop, GRID, GRID), t, invert)
-
-
-def _sample_grid(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """bilinear_resize's sampling of an (n, 1) column of source lengths at GRID
-    outputs: the lower and upper source index and the upper one's weight, each (n, GRID)."""
-    pos = np.arange(GRID) * ((sizes - 1) / (GRID - 1))
-    lower = np.floor(pos).astype(np.intp)
-    return lower, np.minimum(lower + 1, sizes - 1), pos - lower
 
 
 def normalize_images(grays, threshold: int | None = DEFAULT_THRESHOLD,
@@ -152,10 +169,10 @@ def normalize_images(grays, threshold: int | None = DEFAULT_THRESHOLD,
     Returns an (m, 32, 32) uint8 stack of the rasters of the m scans
     that have ink, in order, and an (n,) bool vector marking those
     scans. Each raster equals normalize_image's bit for bit: Otsu runs
-    over the stacked histograms, each scan's bounding box comes from its
-    row and column extremes, all crops are sampled into one stack with
-    bilinear_resize's per-element arithmetic, and the stack is
-    thresholded once.
+    over the stacked histograms, each scan is cropped by normalize_image's
+    rule, all crops are sampled into one stack with bilinear_resize's
+    sampling grid and per-element arithmetic, and the stack is thresholded
+    once. A scan with no pixels raises ValueError, as in normalize_image.
     """
     grays = list(grays)
     if not all(isinstance(g, np.ndarray) and g.dtype == np.uint8 and g.ndim == 2 for g in grays):
@@ -167,23 +184,16 @@ def normalize_images(grays, threshold: int | None = DEFAULT_THRESHOLD,
         cuts = np.full(len(grays), threshold)
     else:
         raise ValueError(f"threshold {threshold} outside 0..255")
-    # binarize's rule: a row or column holds ink when its extreme level does.
-    extreme, inked = (np.maximum, np.greater_equal) if invert else (np.minimum, np.less)
-    found, crops = [], []
-    for gray, cut in zip(grays, cuts.tolist()):
-        rows = np.flatnonzero(inked(extreme.reduce(gray, axis=1), cut))
-        found.append(rows.size > 0)
-        if rows.size:
-            cols = np.flatnonzero(inked(extreme.reduce(gray, axis=0), cut))
-            crops.append(gray[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1])
-    found = np.array(found, dtype=bool)
+    crops = [_ink_crop(gray, cut, invert) for gray, cut in zip(grays, cuts.tolist())]
+    found = np.array([crop is not None for crop in crops], dtype=bool)
+    crops = [crop for crop in crops if crop is not None]
     if not crops:
         return np.zeros((0, GRID, GRID), dtype=np.uint8), found
     # The crops laid end to end, row-major: each crop's pixels from its corner.
     height, width = np.array([crop.shape for crop in crops], dtype=np.intp).T[..., None]
     corner = np.cumsum(height * width, axis=0) - height * width
-    y0, y1, fy = _sample_grid(height)
-    x0, x1, fx = _sample_grid(width)
+    y0, y1, fy = _sample_grid(height, GRID)
+    x0, x1, fx = _sample_grid(width, GRID)
     src = np.concatenate([crop.ravel() for crop in crops])
 
     def sample(y, x):
@@ -193,4 +203,5 @@ def normalize_images(grays, threshold: int | None = DEFAULT_THRESHOLD,
     top = sample(y0, x0) * (1 - fx) + sample(y0, x1) * fx
     bottom = sample(y1, x0) * (1 - fx) + sample(y1, x1) * fx
     scaled = top * (1 - fy) + bottom * fy
+    inked = np.greater_equal if invert else np.less
     return inked(scaled, cuts[found][:, None, None]).view(np.uint8), found

@@ -100,6 +100,18 @@ def test_a_stack_of_the_wrong_shape_or_values_is_refused():
         normalize_images([flat(0)], 256)
 
 
+@pytest.mark.parametrize("shape", [(0, 5), (4, 0)])
+@pytest.mark.parametrize("threshold", [None, 128])
+@pytest.mark.parametrize("invert", [False, True])
+def test_both_paths_refuse_an_image_with_no_pixels(shape, threshold, invert):
+    # read_pgm refuses zero dimensions, so only a caller of the API meets this.
+    gray = np.zeros(shape, dtype=np.uint8)
+    with pytest.raises(ValueError, match="no pixels"):
+        normalize_image(gray, threshold, invert)
+    with pytest.raises(ValueError, match="no pixels"):
+        normalize_images([flat(0), gray], threshold, invert)
+
+
 # ---------------------------------------------------------------------------
 # extract, chunk by chunk
 

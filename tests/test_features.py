@@ -456,6 +456,23 @@ def test_runs_by_line_equals_oracle(case):
             == oracle_runs_by_line(img, rows, cols, direction))
 
 
+# Each family has one body, for stacks: a raster alone is a stack of
+# one. Every row of a stack must still equal the oracles on its raster.
+@settings(deadline=None, max_examples=50)
+@given(st.lists(rasters, max_size=5))
+def test_each_row_of_a_stack_equals_the_oracles(imgs):
+    stack = np.reshape(imgs, (len(imgs), GRID, GRID)).astype(np.uint8)
+    shadows, centroids, runs = (shadow_features(stack), centroid_features(stack),
+                                longest_run_features(stack))
+    assert shadows.shape == (len(imgs), SHADOW_COUNT)
+    assert centroids.shape == (len(imgs), CENTROID_COUNT)
+    assert runs.shape == (len(imgs), LONGEST_RUN_COUNT)
+    for img, shadow, centroid, run in zip(imgs, shadows, centroids, runs):
+        np.testing.assert_array_equal(shadow, oracle_shadow(img))
+        np.testing.assert_array_equal(centroid, oracle_centroid(img))
+        np.testing.assert_array_equal(run, oracle_longest_run(img))
+
+
 def test_toy_corpus_features_are_pinned():
     # Any change to any bit of any feature changes this digest of the
     # 100 x 76 float64 matrix; re-pin it only for a deliberate change.

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -134,6 +134,22 @@ def test_bilinear_equals_the_four_gather_formula(src, out_h, out_w):
                                   four_gather_bilinear(src, out_h, out_w))
 
 
+@settings(deadline=None, max_examples=100)
+@given(arrays(np.uint8, st.tuples(st.integers(1, 40), st.integers(1, 40))),
+       st.integers(1, 40), st.integers(1, 40))
+@example(np.array([[0, 255], [255, 0]], np.uint8), 1, 1)
+@example(np.array([[7]], np.uint8), 1, 33)
+def test_bilinear_gives_the_same_bytes_for_any_source_type(src, out_h, out_w):
+    # The source's own samples are gathered, then blended in float64.
+    want = bilinear_resize(src.astype(np.float64), out_h, out_w)
+    assert want.dtype == np.float64 and want.shape == (out_h, out_w)
+    for dtype in (np.uint8, np.int64, np.float32):
+        assert bilinear_resize(src.astype(dtype), out_h, out_w).tobytes() == want.tobytes()
+    ink = src > 127
+    assert (bilinear_resize(ink, out_h, out_w).tobytes()
+            == bilinear_resize(ink.astype(np.float64), out_h, out_w).tobytes())
+
+
 def test_normalize_uniform_dark_input():
     gray = np.zeros((64, 40), dtype=np.uint8)
     np.testing.assert_array_equal(normalize_image(gray), np.ones((GRID, GRID)))
@@ -166,6 +182,26 @@ def test_normalize_ring_matches_reference_pipeline():
     np.testing.assert_array_equal(got, expected)
     # It still looks like a ring: ink present, hole in the middle.
     assert got.sum() > 0 and got[15:17, 15:17].sum() == 0
+
+
+@pytest.mark.parametrize("invert", [False, True])
+def test_normalize_crops_by_binarizes_rule_in_any_type(invert):
+    # NaN is never ink under binarize, so a NaN pixel neither hides the
+    # ink of its row or column nor adds a row or column of its own.
+    rng = np.random.Generator(np.random.PCG64(6))
+    for _ in range(25):
+        gray = rng.integers(0, 256, size=(int(rng.integers(2, 30)), int(rng.integers(2, 30))))
+        gray = np.where(rng.random(gray.shape) < 0.8, 0 if invert else 255, gray).astype(np.float64)
+        gray[rng.random(gray.shape) < 0.1] = np.nan
+        try:
+            box = minimal_bounding_box(binarize(gray, 128, invert))
+        except NoForegroundError:
+            with pytest.raises(NoForegroundError):
+                normalize_image(gray, 128, invert)
+            continue
+        crop = gray[box.row_min:box.row_max + 1, box.col_min:box.col_max + 1]
+        np.testing.assert_array_equal(normalize_image(gray, 128, invert),
+                                      binarize(bilinear_resize(crop, GRID, GRID), 128, invert))
 
 
 def test_normalize_idempotent_on_canonical_rasters():
