@@ -311,26 +311,28 @@ def _hidden_sizes(args) -> str:
 def main(argv=None) -> int:
     args = None
     try:
+        argv = sys.argv[1:] if argv is None else list(argv)
+        # A command line cannot carry NUL, and no path can hold it.
+        if any("\0" in str(arg) for arg in argv):
+            raise UsageError("an argument holds a NUL character")
         args = build_parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     except UsageError as exc:
-        print(f"digitrec: {exc}", file=sys.stderr)
-        return 1
+        message, code = str(exc), 1
     except (DataError, pgm.PgmError, imgproc.NoForegroundError,
             mlp.ModelFormatError, mlp.TrainingDivergedError, mlp.EmptyDatasetError,
             mlp.DimensionMismatchError, evaluation.TooFewSamplesError,
             OSError) as exc:
-        print(f"digitrec: {exc}", file=sys.stderr)
-        return 2
+        message, code = str(exc), 2
     except MemoryError as exc:  # numpy's _ArrayMemoryError too: a size in bounds may not fit
-        reason = str(exc) or "allocation failed"
-        print(f"digitrec: out of memory{_hidden_sizes(args)}: {reason}", file=sys.stderr)
-        return 2
+        message, code = f"out of memory{_hidden_sizes(args)}: {str(exc) or 'allocation failed'}", 2
     except Exception as exc:  # pragma: no cover - defensive
-        print(f"digitrec: internal error: {exc}", file=sys.stderr)
-        return 3
+        message, code = f"internal error: {exc}", 3
+    # One line, whatever line breaks a path or an argument holds.
+    print(f"digitrec: {message}".replace("\n", "\\n"), file=sys.stderr)
+    return code
 
 
 def run() -> None:

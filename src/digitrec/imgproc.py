@@ -8,8 +8,6 @@ stage consumes the canonical form produced by normalize_image: a
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 GRID = 32
@@ -18,13 +16,6 @@ DEFAULT_THRESHOLD = 128
 
 class NoForegroundError(ValueError):
     """Raised when an image contains no ink at the chosen threshold."""
-
-
-class BoundingBox(NamedTuple):
-    row_min: int
-    row_max: int
-    col_min: int
-    col_max: int
 
 
 def binarize(gray: np.ndarray, threshold: int = DEFAULT_THRESHOLD,
@@ -51,11 +42,17 @@ def otsu_threshold(gray: np.ndarray) -> int:
     A cut t splits pixels into {v < t} and {v >= t}. This is
     otsu_thresholds on the image's histogram: ties resolve to the
     smallest t, and a one-level image gives level + 1, at most 255. An
-    image with no pixels raises ValueError.
+    image with no pixels, or with a value that is not an integer in
+    0..255 (NaN included), raises ValueError: a cast to uint8 would wrap
+    1000 to 232 and cut 0.9 to 0.
     """
-    gray = np.asarray(gray, dtype=np.uint8)
+    gray = np.asarray(gray)
     if gray.size == 0:
         raise ValueError("cannot threshold an image with no pixels")
+    if gray.dtype != np.uint8:
+        if not ((gray >= 0) & (gray <= 255) & (np.trunc(gray) == gray)).all():
+            raise ValueError("Otsu's threshold needs integer gray levels in 0..255")
+        gray = gray.astype(np.uint8)
     return int(otsu_thresholds(np.bincount(gray.ravel(), minlength=256)[None])[0])
 
 
@@ -83,16 +80,6 @@ def otsu_thresholds(hists: np.ndarray) -> np.ndarray:
     return np.where(split.any(axis=1), var.argmax(axis=1) + 1, one_level)
 
 
-def minimal_bounding_box(binary: np.ndarray) -> BoundingBox:
-    """Tightest row/col box around the ink. Raises NoForegroundError."""
-    binary = np.asarray(binary)
-    rows = np.flatnonzero(binary.any(axis=1))
-    cols = np.flatnonzero(binary.any(axis=0))
-    if rows.size == 0:
-        raise NoForegroundError("image has no foreground pixels")
-    return BoundingBox(int(rows[0]), int(rows[-1]), int(cols[0]), int(cols[-1]))
-
-
 def _sample_grid(sizes, out: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """bilinear_resize's sampling of a source length, or an (n, 1) column of
     them, at out outputs: the lower and upper source index and the upper
@@ -109,8 +96,11 @@ def bilinear_resize(src: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     i*(n_src-1)/(n_out-1), so the four corners map exactly onto the
     source corners and same-size resampling is the identity. Aspect
     ratio is not preserved; each axis stretches independently. The
-    source's own samples are gathered and then blended in float64.
+    source's own samples are gathered and then blended in float64. An
+    output size below 1 raises ValueError.
     """
+    if out_h < 1 or out_w < 1:
+        raise ValueError(f"output size {out_h}x{out_w}: each side must be at least 1")
     src = np.asarray(src)
     h, w = src.shape
     y0, y1, fy = _sample_grid(h, out_h)

@@ -81,8 +81,10 @@ def read_pgm(path: str | Path) -> np.ndarray:
         digit = np.maximum(raw, 48) - 48
         img = digit.take(last) + digit.take(last - 1) * np.uint16(10)
         img += digit.take(np.maximum(last - 2, before)) * np.uint16(100)
-        for i in np.flatnonzero(last - before > 3):  # a 4th significant digit: over 999
-            img[i] += 1000 * (raw[before[i] + 1:last[i] - 2] > 48).any()
+        long = np.flatnonzero(last - before > 3)
+        if long.size:  # a non-zero digit before a token's last 3: over 999
+            heads = np.stack([before[long] + 1, last[long] - 2], axis=1).ravel()
+            img[long] += np.uint16(1000) * (np.maximum.reduceat(raw, heads)[::2] > 48)
 
     if img.max() > maxval:
         raise PgmError(f"sample exceeds declared maxval {maxval}")

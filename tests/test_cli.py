@@ -1,8 +1,11 @@
+import argparse
 import contextlib
 import dataclasses
 import io
+import json
 import os
 import re
+import shutil
 import struct
 import subprocess
 import sys
@@ -756,3 +759,149 @@ def test_sweep_rejects_backwards_range(feature_csv, tmp_path, capsys):
 def test_sweep_rejects_bad_threshold(feature_csv, tmp_path):
     assert main(["sweep", str(feature_csv), "--sizes", "4,8", "--threshold",
                  "999", "--report-out", str(tmp_path / "s.csv")]) == 1
+
+
+# ---------------------------------------------------------------------------
+# Any argv
+
+def _flags_by_command():
+    """{command: (positional dests, {flag: action})}, as build_parser declares them."""
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    return {name: ([a.dest for a in p._actions if not a.option_strings],
+                   {a.option_strings[-1]: a for a in p._actions
+                    if a.option_strings and a.dest != "help"})
+            for name, p in commands.items()}
+
+
+_COMMANDS = _flags_by_command()
+# Values by destination: those that parse first, then extreme and odd ones.
+# "@name" is the path work/name in the example's own directory. Sizes and
+# epochs are small enough that training ends at once; a size that fits the
+# model file but not memory is an @example below, run in a capped child.
+_HUGE = ["99999999999999999999", "-99999999999999999999", "4294967296"]
+_VALUES = {
+    "data_dir": ["@corpus"],
+    "data": ["@corpus", "@features.csv"],
+    "model": ["@model.mlp"],
+    "image": ["@corpus/0/s0.pgm", "@corpus/1/s2.pgm"],
+    "out": ["@out.csv"], "model_out": ["@out.mlp"], "report_out": ["@out.csv", "@out"],
+    "hidden": ["1", "3", *_HUGE],
+    "epochs": ["0", "1", "2"],
+    "folds": ["2", *_HUGE],
+    "seed": ["0", "7", *_HUGE],
+    "lr": ["0", "0.5", "1e308", "1e-320", "-0.0"],
+    "momentum": ["0", "0.7", "0.9999999999999999"],
+    "threshold": ["0", "128", "255", "otsu", " OTSU "],
+    "sizes": ["1", "2,3", "1:3:1", "3:3:7"],
+}
+_ODD = ["", "x", "-", "--", "\x00", "\udcff", "a\nb", "٣", "²", "-1", "1.5", "nan", "inf",
+        "3,2", "1,1", "3:1:1", "1:3:0", "1:2:3:4", "1:1001:1", "1:4294967296:1",
+        "@corpus", "@corpus/0", "@features.csv", "@model.mlp", "@missing", "@new/out.csv", "@"]
+_ENTRY_NAMES = ["0", "1", "2", "10", "٣", "²", " 3", "3 ", "s.pgm", ".pgm",
+                "S.PGM", "a\nb.pgm", "\udcff.pgm", "-1"]
+_ENTRY_KINDS = ["dir", "scan", "blank", "broken", "empty", "link"]
+
+
+def _mostly(draw, common, rare):
+    """A draw from common seven times in eight, when it has any, else from rare."""
+    return draw(st.sampled_from(common if common and draw(st.integers(0, 7)) else rare))
+
+
+@st.composite
+def _argv(draw):
+    """A command, its positionals and flags from the parser, values from the pools."""
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    positionals, flags = _COMMANDS[command]
+    others = sorted({flag for _, f in _COMMANDS.values() for flag in f} - set(flags))
+    argv = [command] + [_mostly(draw, _VALUES[dest], _ODD) for dest in positionals]
+    drawn = [_mostly(draw, sorted(flags), others) for _ in range(draw(st.integers(0, 5)))]
+    required = [flag for flag, action in flags.items() if action.required or flag == "--epochs"]
+    for flag in drawn + [flag for flag in required if flag not in drawn]:
+        action = flags.get(flag)
+        argv.append(flag)
+        if action is None or action.nargs != 0:
+            argv.append(_mostly(draw, _VALUES.get(action.dest if action else "", []), _ODD))
+    return argv + _mostly(draw, [[]], [[token] for token in _ODD])
+
+
+@pytest.fixture(scope="module")
+def argv_inputs(tmp_path_factory):
+    """A two-class corpus of three scans each, its feature CSV and a model."""
+    root = tmp_path_factory.mktemp("inputs")
+    write_corpus(root / "corpus", labels=(0, 1))
+    assert main(["extract", str(root / "corpus"), str(root / "features.csv")]) == 0
+    assert main(["train", str(root / "features.csv"), "--model-out", str(root / "model.mlp"),
+                 "--hidden", "3", "--epochs", "1"]) == 0
+    return root
+
+
+def _add_entry(corpus, where, name, kind):
+    path = corpus / where / name if where else corpus / name
+    if os.path.lexists(path) or not path.parent.is_dir():
+        return
+    if kind == "dir":
+        path.mkdir()
+    elif kind == "link":
+        path.symlink_to("nowhere")
+    elif kind == "scan":
+        write_pgm(path, glyph_pgm(2))
+    elif kind == "blank":
+        write_pgm(path, np.full((8, 8), 255, np.uint8))
+    else:
+        path.write_bytes(b"P5\n8 8\n255\n" if kind == "broken" else b"")
+
+
+def main_capped(work, argv):
+    """main(argv) in a child process in work, its address space capped at
+    2 GiB; argv goes as JSON, which carries NUL and lone surrogates."""
+    script = ("import json, resource, sys\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+              "from digitrec.cli import main\n"
+              "sys.exit(main(json.loads(sys.stdin.read())))\n")
+    src = os.path.dirname(os.path.dirname(digitrec.__file__))
+    result = subprocess.run([sys.executable, "-c", script], input=json.dumps(argv).encode(),
+                            capture_output=True, cwd=work, env=dict(os.environ, PYTHONPATH=src))
+    return result.returncode, result.stderr.decode(errors="backslashreplace")
+
+
+def _could_allocate_much(argv):
+    """Whether argv holds a layer size that fits the model file, yet not memory."""
+    numbers = [int(n) for token in argv for n in re.split(r"[,:]", token) if n.isdecimal()]
+    return any(100_000 < n <= 2**32 - 1 for n in numbers)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_argv(), st.lists(st.tuples(st.sampled_from(["", "0", "1"]), st.sampled_from(_ENTRY_NAMES),
+                                   st.sampled_from(_ENTRY_KINDS)), max_size=4))
+@example(["extract", "@corpus", "\x00"], [])  # once exit 3: embedded null byte
+@example(["train", "@features.csv", "--hidden", "4000000000", "--epochs", "1"], [])
+@example(["sweep", "@corpus", "--sizes", "1,4294967295", "--folds", "2", "--epochs", "1"], [])
+@example(["crossval", "@corpus", "--hidden", "4294967295", "--folds", "2", "--epochs", "1"],
+         [("", "2", "dir"), ("2", "a\nb.pgm", "broken")])
+def test_any_argv_exits_0_1_or_2(argv_inputs, tmp_path_factory, argv, entries):
+    # Whatever the flags and the corpus tree, a run succeeds, or is a usage
+    # or data error whose one digitrec: line ends stderr; never exit 3.
+    work = tmp_path_factory.mktemp("argv")
+    shutil.copytree(argv_inputs, work, dirs_exist_ok=True)
+    for entry in entries:
+        _add_entry(work / "corpus", *entry)
+    argv = [str(work / t[1:]) if t.startswith("@") else t for t in argv]
+    if _could_allocate_much(argv):
+        code, err = main_capped(work, argv)
+    else:
+        stderr, cwd = io.StringIO(), os.getcwd()
+        os.chdir(work)  # for the default output paths
+        try:
+            with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv)
+        finally:
+            os.chdir(cwd)
+        err = stderr.getvalue()
+    lines = err.split("\n")
+    assert lines.pop() == ""
+    assert "Traceback" not in err
+    assert code in (0, 1, 2), lines
+    said = [line for line in lines if line.startswith("digitrec:")]
+    assert said == (lines[-1:] if code else []), lines
+    assert not list(work.rglob(".*.tmp"))

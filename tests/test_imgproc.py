@@ -7,8 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from digitrec.imgproc import (GRID, BoundingBox, NoForegroundError, binarize,
-                              bilinear_resize, minimal_bounding_box,
+from digitrec.imgproc import (GRID, NoForegroundError, binarize, bilinear_resize,
                               normalize_image, otsu_threshold, otsu_thresholds)
 
 
@@ -59,35 +58,6 @@ def test_binarize_rejects_bad_threshold():
 def test_binarize_rejects_a_non_2d_image():
     with pytest.raises(ValueError, match="2-D"):
         binarize(np.zeros(4, dtype=np.uint8), 128)
-
-
-def test_bounding_box_single_pixel():
-    img = np.zeros((10, 10), dtype=np.uint8)
-    img[3, 7] = 1
-    assert minimal_bounding_box(img) == BoundingBox(3, 3, 7, 7)
-
-
-def test_bounding_box_full():
-    assert minimal_bounding_box(np.ones((4, 6))) == BoundingBox(0, 3, 0, 5)
-
-
-def test_bounding_box_blank_raises():
-    with pytest.raises(NoForegroundError):
-        minimal_bounding_box(np.zeros((8, 8)))
-
-
-def test_bounding_box_shrinks_when_ink_removed():
-    rng = np.random.Generator(np.random.PCG64(7))
-    for _ in range(50):
-        img = (rng.random((12, 12)) < 0.2).astype(np.uint8)
-        if img.sum() < 2:
-            continue
-        box = minimal_bounding_box(img)
-        r, c = [int(v[0]) for v in np.nonzero(img)]
-        img[r, c] = 0
-        smaller = minimal_bounding_box(img)
-        assert smaller.row_min >= box.row_min and smaller.row_max <= box.row_max
-        assert smaller.col_min >= box.col_min and smaller.col_max <= box.col_max
 
 
 def test_bilinear_identity_at_same_size():
@@ -150,6 +120,18 @@ def test_bilinear_gives_the_same_bytes_for_any_source_type(src, out_h, out_w):
             == bilinear_resize(ink.astype(np.float64), out_h, out_w).tobytes())
 
 
+@pytest.mark.parametrize("axis", [0, 1])
+def test_bilinear_refuses_an_output_size_below_1(axis):
+    for size in (-3, 0):
+        out = [5, 5]
+        out[axis] = size
+        with pytest.raises(ValueError, match=f"output size {out[0]}x{out[1]}"):
+            bilinear_resize(np.ones((3, 3)), *out)
+    out = [5, 5]
+    out[axis] = 1
+    assert bilinear_resize(np.ones((3, 3)), *out).shape == tuple(out)
+
+
 def test_normalize_uniform_dark_input():
     gray = np.zeros((64, 40), dtype=np.uint8)
     np.testing.assert_array_equal(normalize_image(gray), np.ones((GRID, GRID)))
@@ -193,13 +175,14 @@ def test_normalize_crops_by_binarizes_rule_in_any_type(invert):
         gray = rng.integers(0, 256, size=(int(rng.integers(2, 30)), int(rng.integers(2, 30))))
         gray = np.where(rng.random(gray.shape) < 0.8, 0 if invert else 255, gray).astype(np.float64)
         gray[rng.random(gray.shape) < 0.1] = np.nan
-        try:
-            box = minimal_bounding_box(binarize(gray, 128, invert))
-        except NoForegroundError:
+        mask = binarize(gray, 128, invert)
+        rows = np.flatnonzero(mask.any(axis=1))
+        cols = np.flatnonzero(mask.any(axis=0))
+        if not rows.size:
             with pytest.raises(NoForegroundError):
                 normalize_image(gray, 128, invert)
             continue
-        crop = gray[box.row_min:box.row_max + 1, box.col_min:box.col_max + 1]
+        crop = gray[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
         np.testing.assert_array_equal(normalize_image(gray, 128, invert),
                                       binarize(bilinear_resize(crop, GRID, GRID), 128, invert))
 
@@ -296,6 +279,27 @@ def test_otsu_refuses_an_image_with_no_pixels(shape):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="no pixels"):
             otsu_threshold(np.zeros(shape, dtype=np.uint8))
+
+
+def test_otsu_refuses_values_a_cast_to_uint8_would_change():
+    # 1000 would wrap to 232 and 0.9 truncate to 0: the cut of 0.2 paper
+    # with a 0.9 square was 1, and normalize_image gave an all-ink raster.
+    square = np.full((20, 20), 0.2)
+    square[5:10, 5:10] = 0.9
+    for gray in (np.array([[1000, 10], [4, 200]]), square, np.array([[0.0, np.nan]]),
+                 np.array([[-1, 7]])):
+        with pytest.raises(ValueError, match="integer gray levels in 0..255"):
+            otsu_threshold(gray)
+    with pytest.raises(ValueError, match="integer gray levels in 0..255"):
+        normalize_image(square, None)
+
+
+def test_otsu_of_integer_levels_in_any_type_is_the_uint8_cut():
+    rng = np.random.Generator(np.random.PCG64(12))
+    gray = rng.integers(0, 256, size=(17, 23), dtype=np.uint8)
+    for dtype in (np.int64, np.float64, np.uint16):
+        assert otsu_threshold(gray.astype(dtype)) == otsu_threshold(gray)
+    assert otsu_threshold(gray > 127) == otsu_threshold((gray > 127).astype(np.uint8))
 
 
 def test_otsu_of_a_one_level_image_is_the_next_level():

@@ -1,4 +1,5 @@
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -145,6 +146,41 @@ def test_p2_sample_past_int64_is_a_pgm_error(tmp_path):
     path.write_text("P2\n2 1\n255\n0 99999999999999999999\n")
     with pytest.raises(PgmError, match="maxval"):
         read_pgm(path)
+
+
+def calls_into_c(fn, *args):
+    """How many calls fn(*args) makes to built-in functions and methods."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        count += event == "c_call"
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+def test_p2_zero_padded_samples_read_in_array_passes(tmp_path):
+    # Samples padded to 4..8 characters read as their plain twin, and the
+    # reader's calls do not grow with the number of padded samples.
+    rng = np.random.Generator(np.random.PCG64(4))
+    paths = []
+    for n in (2, 40):
+        img = rng.integers(0, 256, size=(n, n), dtype=np.uint8)
+        widths = rng.integers(4, 9, size=img.size).tolist()
+        samples = " ".join(f"{v:0{w}d}" for v, w in zip(img.ravel().tolist(), widths))
+        paths.append(tmp_path / f"padded{n}.pgm")
+        paths[-1].write_text(f"P2\n{n} {n}\n255\n{samples}\n")
+        write_pgm(tmp_path / "plain.pgm", img, binary=False)
+        np.testing.assert_array_equal(read_pgm(paths[-1]), read_pgm(tmp_path / "plain.pgm"))
+    assert calls_into_c(read_pgm, paths[0]) == calls_into_c(read_pgm, paths[1])
+    paths[0].write_text("P2\n3 1\n255\n0000255 0001000 00\n")
+    with pytest.raises(PgmError, match="exceeds declared maxval 255"):
+        read_pgm(paths[0])
 
 
 # ---------------------------------------------------------------------------
