@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluation, features, imgproc, mlp, pgm
-from ._atomic import atomic_open
+from ._atomic import atomic_open, check_output
 
 
 class UsageError(Exception):
@@ -155,17 +155,18 @@ def _load_dataset(path_text: str, threshold: int | None,
     return evaluation.Dataset(rows, labels)
 
 
-def _training_inputs(args) -> tuple[mlp.TrainingConfig, evaluation.Dataset]:
-    """(config, dataset) for train, crossval and sweep; flags are checked first."""
+def _training_config(args) -> mlp.TrainingConfig:
+    """The config of train, crossval and sweep. Each command checks its
+    flags here, then its output paths with check_output, and only then
+    reads its data, so that no bad path waits for the training."""
     if getattr(args, "folds", 2) < 2:
         raise UsageError(f"--folds must be at least 2, got {args.folds}")
     try:
-        config = mlp.TrainingConfig(
+        return mlp.TrainingConfig(
             hidden_size=args.hidden, learning_rate=args.lr,
             momentum=args.momentum, max_epochs=args.epochs, seed=args.seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    return config, _load_dataset(args.data, args.threshold, args.invert)
 
 
 def cmd_extract(args) -> int:
@@ -176,7 +177,9 @@ def cmd_extract(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config, data = _training_inputs(args)
+    config = _training_config(args)
+    check_output(args.model_out)
+    data = _load_dataset(args.data, args.threshold, args.invert)
     if np.count_nonzero(np.bincount(data.labels)) < 2:
         raise DataError("training needs at least two distinct classes")
     model, history = mlp.train(mlp.init_model(config), data.features, data.labels, config)
@@ -210,10 +213,13 @@ def cmd_predict(args) -> int:
 
 
 def cmd_crossval(args) -> int:
-    config, data = _training_inputs(args)
+    config = _training_config(args)
+    check_output(args.report_out)  # first: with_suffix refuses a name such as '' or '.'
+    confusion_path = Path(args.report_out).with_suffix(".confusion.txt")
+    check_output(confusion_path)
+    data = _load_dataset(args.data, args.threshold, args.invert)
     report = evaluation.cross_validate(data, config, args.folds)
     evaluation.write_report_csv(args.report_out, report)
-    confusion_path = Path(args.report_out).with_suffix(".confusion.txt")
     with atomic_open(confusion_path) as fh:
         fh.write(evaluation.format_confusion(report.confusion))
     print(f"wrote {args.report_out} and {confusion_path}", file=sys.stderr)
@@ -222,7 +228,9 @@ def cmd_crossval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    config, data = _training_inputs(args)
+    config = _training_config(args)
+    check_output(args.report_out)
+    data = _load_dataset(args.data, args.threshold, args.invert)
     reports, best = evaluation.sweep_hidden(data, args.sizes, config, args.folds)
     evaluation.write_sweep_csv(args.report_out, reports)
     print(f"wrote {args.report_out}", file=sys.stderr)

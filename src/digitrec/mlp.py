@@ -271,12 +271,14 @@ def stop_state(history: list[float], max_epochs: int) -> tuple[int, str | None]:
     """(stale, reason) for a run whose epoch errors so far are history.
 
     stale counts the epochs in a row at the end of history whose error
-    improved on the one before by less than STOP_TOLERANCE. reason is
-    "stalled" once stale reaches PATIENCE, else "max_epochs" once
-    history holds max_epochs errors, else None: training goes on.
+    improved on the one before by less than STOP_TOLERANCE, capped at
+    PATIENCE: only the last PATIENCE + 1 errors are read, so a check
+    after every epoch costs the same at any length. reason is "stalled"
+    once stale reaches PATIENCE, else "max_epochs" once history holds
+    max_epochs errors, else None: training goes on.
     """
-    stale = 0
-    for before, error in zip(history, history[1:]):
+    stale, tail = 0, history[-PATIENCE - 1:]
+    for before, error in zip(tail, tail[1:]):
         stale = stale + 1 if before - error < STOP_TOLERANCE else 0
     if stale >= PATIENCE:
         return stale, "stalled"

@@ -28,3 +28,19 @@ def test_a_failed_rename_leaves_the_target_and_no_temporary(tmp_path):
     assert os.listdir(tmp_path) == ["out"]
     assert os.listdir(path) == ["inside.txt"]
     assert (path / "inside.txt").read_text() == "kept\n"
+
+
+def test_an_open_or_rename_error_names_the_target(tmp_path):
+    # The user gave the target's name, not the temporary file's.
+    for path in (tmp_path / "missing" / "out.txt", tmp_path):
+        with pytest.raises(OSError) as caught:
+            with atomic_open(path) as fh:
+                fh.write("new\n")
+        assert (caught.value.filename, caught.value.filename2) == (str(path), None)
+    assert os.listdir(tmp_path) == []
+    # An OSError raised in the block is passed on as it is.
+    error = PermissionError("block failed")
+    with pytest.raises(PermissionError) as caught:
+        with atomic_open(tmp_path / "out.txt"):
+            raise error
+    assert caught.value is error

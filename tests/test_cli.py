@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import digitrec
-from digitrec.cli import (MAX_SWEEP_SIZES, _load_dataset, _training_inputs, build_parser, main,
+from digitrec.cli import (MAX_SWEEP_SIZES, _load_dataset, _training_config, build_parser, main,
                           parse_sizes, parse_threshold, UsageError)
 from digitrec.evaluation import format_accuracy, make_toy_dataset, toy_glyph
 from digitrec.features import CSV_HEADER, read_features_csv, write_features_csv
@@ -157,7 +157,7 @@ def test_training_config_holds_only_what_the_flags_set(monkeypatch):
     args = build_parser().parse_args(["train", "d"])
     monkeypatch.setattr("digitrec.mlp.TrainingConfig", spy)
     with pytest.raises(RuntimeError, match="config built"):
-        _training_inputs(args)
+        _training_config(args)
     names = [f.name for f in dataclasses.fields(TrainingConfig)]
     assert sorted(seen) == sorted(names) == [
         "hidden_size", "learning_rate", "max_epochs", "momentum", "seed"]
@@ -318,6 +318,63 @@ def test_diverged_training_exits_2_and_writes_nothing(tmp_path, capsys, command,
                                 "weight outside [-1e6, 1e6] in layer 1\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["toy.csv", *outputs])
     assert all((tmp_path / name).read_text() == "earlier output\n" for name in outputs)
+
+
+def one_error_line(err):
+    """The one digitrec: line that ends stderr, asserted to be the only one."""
+    lines = err.splitlines()
+    assert [line for line in lines if line.startswith("digitrec: ")] == lines[-1:], lines
+    return lines[-1]
+
+
+def test_extract_names_an_unwritable_output_as_given(corpus, tmp_path, monkeypatch, capsys):
+    # The rename of the temporary file fails; the message once named that
+    # file ('..4242.tmp' -> ''). The training commands check their paths
+    # first, in the test below.
+    monkeypatch.chdir(tmp_path)
+    assert main(["extract", str(corpus), ""]) == 2
+    line = one_error_line(capsys.readouterr().err)
+    assert line.endswith(": ''") and ".tmp" not in line
+    assert os.listdir(tmp_path) == []
+
+
+_OUTPUT_FLAGS = {"train": ["--model-out"], "crossval": ["--report-out"],
+                 "sweep": ["--sizes", "4,5", "--report-out"]}
+
+
+@pytest.mark.parametrize("command", sorted(_OUTPUT_FLAGS))
+@pytest.mark.parametrize("path", ["", ".", "sub", "missing/out", "file/out"],
+                         ids=["empty", "cwd", "directory", "missing-parent", "under-a-file"])
+def test_a_bad_output_path_exits_2_before_the_data_is_read(tmp_path, monkeypatch, capsys,
+                                                           command, path):
+    # Checked first, a bad path costs no training: these outputs are written
+    # only after it, which at the paper's scale takes minutes.
+    def unreachable(*args, **kwargs):
+        raise AssertionError("reached with a bad output path")
+
+    for name in ("digitrec.cli._load_dataset", "digitrec.mlp.train", "digitrec.evaluation.train"):
+        monkeypatch.setattr(name, unreachable)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "file").write_text("a regular file\n")
+    assert main([command, "data.csv", *_OUTPUT_FLAGS[command], path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert one_error_line(captured.err).endswith(f": {path!r}")
+    assert sorted(os.listdir(tmp_path)) == ["file", "sub"]
+
+
+def test_crossval_checks_its_confusion_path_before_the_data_is_read(tmp_path, monkeypatch,
+                                                                   capsys):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("reached with a bad output path")
+
+    monkeypatch.setattr("digitrec.cli._load_dataset", unreachable)
+    (tmp_path / "out.confusion.txt").mkdir()
+    assert main(["crossval", "data.csv", "--report-out", str(tmp_path / "out.csv")]) == 2
+    line = one_error_line(capsys.readouterr().err)
+    assert line.endswith(f": {str(tmp_path / 'out.confusion.txt')!r}")
+    assert os.listdir(tmp_path) == ["out.confusion.txt"]
 
 
 def test_train_and_crossval_leave_numpy_ma_unimported(feature_csv, tmp_path):
@@ -780,12 +837,16 @@ _COMMANDS = _flags_by_command()
 # epochs are small enough that training ends at once; a size that fits the
 # model file but not memory is an @example below, run in a capped child.
 _HUGE = ["99999999999999999999", "-99999999999999999999", "4294967296"]
+# Output paths that cannot be written: empty, a directory, in a missing
+# directory, and under a regular file.
+_BAD_OUTPUTS = ["", ".", "@corpus", "@missing/out.csv", "@features.csv/out.csv"]
 _VALUES = {
     "data_dir": ["@corpus"],
     "data": ["@corpus", "@features.csv"],
     "model": ["@model.mlp"],
     "image": ["@corpus/0/s0.pgm", "@corpus/1/s2.pgm"],
-    "out": ["@out.csv"], "model_out": ["@out.mlp"], "report_out": ["@out.csv", "@out"],
+    "out": ["@out.csv", *_BAD_OUTPUTS], "model_out": ["@out.mlp", *_BAD_OUTPUTS],
+    "report_out": ["@out.csv", "@out", *_BAD_OUTPUTS],
     "hidden": ["1", "3", *_HUGE],
     "epochs": ["0", "1", "2"],
     "folds": ["2", *_HUGE],

@@ -1,7 +1,8 @@
 import csv
 import hashlib
 import io
-import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,75 +18,15 @@ from digitrec.features import (CENTROID_COUNT, CSV_HEADER, CSV_ROWS, DIRECTIONS,
                                octant_of, read_features_csv, shadow_features,
                                write_features_csv)
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import reference  # noqa: E402
+
 GRID = 32
 
 # ---------------------------------------------------------------------------
-# Independent geometry oracles
-
-def oracle_octant(r, c):
-    """Angle-sector classification with the diagonal split spelled out."""
-    dx = (c + 0.5) - 16.0
-    dy = 16.0 - (r + 0.5)
-    if abs(dx) == abs(dy):
-        quadrant = {(1, 1): 0, (-1, 1): 2, (-1, -1): 4, (1, -1): 6}[
-            (int(math.copysign(1, dx)), int(math.copysign(1, dy)))]
-        return quadrant if abs(dx) < 8 else quadrant + 1
-    angle = math.degrees(math.atan2(dy, dx)) % 360.0
-    return int(angle // 45.0)
-
-
-# Octant triangle vertices in x-right/y-up coordinates: the center-line
-# endpoint M and the corner K, written out rather than derived.
-ORACLE_SIDES = {
-    0: ((32, 16), (32, 32)),
-    1: ((16, 32), (32, 32)),
-    2: ((16, 32), (0, 32)),
-    3: ((0, 16), (0, 32)),
-    4: ((0, 16), (0, 0)),
-    5: ((16, 0), (0, 0)),
-    6: ((16, 0), (32, 0)),
-    7: ((32, 16), (32, 0)),
-}
-
-
-def oracle_shadow(img):
-    marked = {(k, s): set() for k in range(8) for s in range(3)}
-    for r in range(GRID):
-        for c in range(GRID):
-            if not img[r, c]:
-                continue
-            px, py = c + 0.5, 31.5 - r
-            dx, dy = px - 16.0, py - 16.0
-            if abs(dx) == abs(dy):
-                base = oracle_octant(r, c)
-                octants = (base - 1, base) if base % 2 else (base, base + 1)
-            else:
-                octants = (oracle_octant(r, c),)
-            for k in octants:
-                m, corner = ORACLE_SIDES[k]
-                cen = (16.0, 16.0)
-                for s, (a, b) in enumerate([(m, corner), (cen, m), (cen, corner)]):
-                    vx, vy = b[0] - a[0], b[1] - a[1]
-                    t = ((px - a[0]) * vx + (py - a[1]) * vy) / (vx * vx + vy * vy)
-                    marked[(k, s)].add(min(15, max(0, math.floor(16 * t))))
-    return np.array([len(marked[(k, s)]) / 16 for k in range(8) for s in range(3)])
-
-
-def oracle_centroid(img):
-    sums = {k: [0, 0, 0] for k in range(8)}
-    for r in range(GRID):
-        for c in range(GRID):
-            if img[r, c]:
-                k = oracle_octant(r, c)
-                sums[k][0] += r
-                sums[k][1] += c
-                sums[k][2] += 1
-    out = []
-    for k in range(8):
-        rs, cs, n = sums[k]
-        out.extend([rs / n / 31, cs / n / 31] if n else [0.0, 0.0])
-    return np.array(out)
-
+# Independent oracles: the scalar definitions in perfbench/reference.py for
+# the octants and the three families, and a run-expanding scan below for
+# longest_runs_by_line on windows of any size.
 
 def diagonal_cells(shape, direction, offset):
     """Cells of one full-image diagonal, walked in row order."""
@@ -148,14 +89,6 @@ def oracle_runs_by_line(img, rows, cols, direction):
     return out
 
 
-REGION_CORNERS = [(r, c) for r in (0, 8, 16) for c in (0, 8, 16)]
-
-
-def oracle_longest_run(img):
-    return np.array([sum(oracle_runs_by_line(img, (r0, r0 + 15), (c0, c0 + 15), d)) / 1024
-                     for r0, c0 in REGION_CORNERS for d in DIRECTIONS])
-
-
 def random_raster(rng, density=0.35):
     return (rng.random((GRID, GRID)) < density).astype(np.uint8)
 
@@ -175,7 +108,7 @@ def test_octant_partition_is_exact_and_balanced():
     for r in range(GRID):
         for c in range(GRID):
             k = octant_of(r, c)
-            assert k == oracle_octant(r, c), (r, c)
+            assert k == reference.octant(r, c), (r, c)
             counts[k] += 1
     np.testing.assert_array_equal(counts, [128] * 8)
 
@@ -229,7 +162,7 @@ def test_shadow_matches_oracle_on_random_rasters():
     rng = np.random.Generator(np.random.PCG64(12))
     for _ in range(10):
         img = random_raster(rng)
-        np.testing.assert_array_equal(shadow_features(img), oracle_shadow(img))
+        np.testing.assert_array_equal(shadow_features(img), reference.shadow(img))
 
 
 def test_shadow_monotone_under_added_ink():
@@ -279,7 +212,7 @@ def test_centroid_matches_oracle_on_random_rasters():
     rng = np.random.Generator(np.random.PCG64(15))
     for _ in range(10):
         img = random_raster(rng)
-        np.testing.assert_allclose(centroid_features(img), oracle_centroid(img),
+        np.testing.assert_allclose(centroid_features(img), reference.centroid(img),
                                    rtol=0, atol=1e-12)
 
 
@@ -412,7 +345,7 @@ def rasters_with_window(draw):
 @settings(deadline=None)
 @given(rasters)
 def test_shadow_equals_oracle(img):
-    np.testing.assert_array_equal(shadow_features(img), oracle_shadow(img))
+    np.testing.assert_array_equal(shadow_features(img), reference.shadow(img))
     vec = extract_features(img)
     assert ((0 <= vec) & (vec <= 1)).all()
 
@@ -420,7 +353,7 @@ def test_shadow_equals_oracle(img):
 @settings(deadline=None)
 @given(rasters)
 def test_centroid_equals_oracle(img):
-    np.testing.assert_array_equal(centroid_features(img), oracle_centroid(img))
+    np.testing.assert_array_equal(centroid_features(img), reference.centroid(img))
 
 
 # Rasters whose ink sits on the edges of the regions' segments.
@@ -440,7 +373,7 @@ _CHECKERBOARD = (np.indices((GRID, GRID)).sum(axis=0) % 2).astype(np.uint8)
 @example(_DIAGONALS)
 @example(_CHECKERBOARD)
 def test_longest_run_equals_oracle(img):
-    np.testing.assert_array_equal(longest_run_features(img), oracle_longest_run(img))
+    np.testing.assert_array_equal(longest_run_features(img), reference.longest_runs(img))
 
 
 # Lines longer than 255 cells, past the range of 8-bit run lengths.
@@ -468,9 +401,9 @@ def test_each_row_of_a_stack_equals_the_oracles(imgs):
     assert centroids.shape == (len(imgs), CENTROID_COUNT)
     assert runs.shape == (len(imgs), LONGEST_RUN_COUNT)
     for img, shadow, centroid, run in zip(imgs, shadows, centroids, runs):
-        np.testing.assert_array_equal(shadow, oracle_shadow(img))
-        np.testing.assert_array_equal(centroid, oracle_centroid(img))
-        np.testing.assert_array_equal(run, oracle_longest_run(img))
+        np.testing.assert_array_equal(shadow, reference.shadow(img))
+        np.testing.assert_array_equal(centroid, reference.centroid(img))
+        np.testing.assert_array_equal(run, reference.longest_runs(img))
 
 
 def test_toy_corpus_features_are_pinned():

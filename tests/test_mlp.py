@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import digitrec
 from digitrec import mlp
 from digitrec.evaluation import make_folds, make_toy_dataset
-from digitrec.mlp import (INPUT_SIZE, MAX_LAYER_SIZE, OUTPUT_SIZE, BadMagicError,
+from digitrec.mlp import (INPUT_SIZE, MAX_LAYER_SIZE, OUTPUT_SIZE, PATIENCE, BadMagicError,
                           DimensionMismatchError, EmptyDatasetError,
                           MlpModel, ModelFormatError,
                           ShapeMismatchError,
@@ -586,6 +586,15 @@ def oracle_backprop(model, x, label):
     return grads, error
 
 
+def oracle_stop(history, error, stale):
+    """The package's fixed stop rule, written out so that changing it fails
+    the oracles. error joins history, whose count of stalled epochs was
+    stale; returns the new count and whether training ends."""
+    stale = stale + 1 if history and history[-1] - error < 1e-4 else 0
+    history.append(error)
+    return stale, stale >= 20
+
+
 def oracle_train(model, x, labels, config):
     rng = np.random.Generator(np.random.PCG64(config.seed))
     velocity = [np.zeros_like(w) for w in model.weights]
@@ -599,13 +608,8 @@ def oracle_train(model, x, labels, config):
             for i, grad in enumerate(grads):
                 velocity[i] = config.momentum * velocity[i] - config.learning_rate * grad
                 model.weights[i] += velocity[i]
-        # The package's fixed stop rule, written out, so changing it fails the oracles.
-        if history and history[-1] - epoch_error < 1e-4:
-            stale += 1
-        else:
-            stale = 0
-        history.append(epoch_error)
-        if stale >= 20:
+        stale, stalled = oracle_stop(history, epoch_error, stale)
+        if stalled:
             break
     return model, history
 
@@ -671,19 +675,28 @@ def test_lockstep_runs_match_the_oracle_run_alone(tmp_path):
 @example(gains=[1.0] + [0.0] * 25, max_epochs=60)  # stalls at epoch 21
 @example(gains=[0.0] * 25, max_epochs=21)  # stalls at its last epoch
 def test_stop_state_is_the_oracles_rule(gains, max_epochs):
-    # oracle_train's stop rule, written out as it is there, epoch by epoch.
+    # oracle_train's stop rule, epoch by epoch.
     assert stop_state([], max_epochs) == (0, None if max_epochs else "max_epochs")
     history, stale = [], 0
     for error in (100.0 - np.cumsum(gains)).tolist()[:max_epochs]:
-        if history and history[-1] - error < 1e-4:
-            stale += 1
-        else:
-            stale = 0
-        history.append(error)
-        want = "stalled" if stale >= 20 else "max_epochs" if len(history) == max_epochs else None
+        stale, stalled = oracle_stop(history, error, stale)
+        want = "stalled" if stalled else "max_epochs" if len(history) == max_epochs else None
         assert stop_state(history, max_epochs) == (stale, want)
         if want:
             break
+
+
+@settings(max_examples=100, deadline=None)
+@given(errors=st.lists(st.sampled_from([0.0, 5e-5, 1e-4, 2e-4, 1.0]), min_size=PATIENCE + 1,
+                       max_size=60).map(lambda steps: (100.0 - np.cumsum(steps)).tolist()))
+@example(errors=[1.0] * 60)  # stalled for 59 epochs
+def test_stop_state_reads_only_the_last_patience_plus_one_errors(errors):
+    # train asks after every epoch, so the check must not walk the whole
+    # history: entries before the last PATIENCE + 1 are never read, and
+    # the count of stalled epochs stops at PATIENCE.
+    stale, reason = stop_state(errors, 10**6)
+    assert stop_state([None] * 1000 + errors, 10**6) == (stale, reason)
+    assert stale <= PATIENCE and (reason == "stalled") == (stale == PATIENCE)
 
 
 @settings(max_examples=25, deadline=None)
