@@ -5,21 +5,20 @@ import errno
 import os
 
 
+class _Opened(Exception):
+    """Leaves check_output's atomic_open block once its file is open."""
+
+
 def check_output(path) -> None:
     """Raise the OSError that writing path would meet, before any work is
-    done: the name must not be empty or an existing directory, and its
-    parent must be an existing directory."""
+    done: an empty name or an existing directory here, any other path by
+    creating and removing the temporary file that atomic_open writes."""
     name = os.fspath(path)
-    parent = os.path.dirname(name) or "."
-    if not name:
-        code = errno.ENOENT
-    elif os.path.isdir(name):
-        code = errno.EISDIR
-    elif not os.path.isdir(parent):
-        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
-    else:
-        return
-    raise OSError(code, os.strerror(code), name)
+    if not name or os.path.isdir(name):
+        code = errno.EISDIR if name else errno.ENOENT
+        raise OSError(code, os.strerror(code), name)
+    with contextlib.suppress(_Opened), atomic_open(name):
+        raise _Opened
 
 
 @contextlib.contextmanager

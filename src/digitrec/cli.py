@@ -170,6 +170,7 @@ def _training_config(args) -> mlp.TrainingConfig:
 
 
 def cmd_extract(args) -> int:
+    check_output(args.out)
     data = load_corpus(args.data_dir, args.threshold, args.invert)[0]
     features.write_features_csv(args.out, data.labels, data.features)
     print(f"wrote {len(data)} rows to {args.out}", file=sys.stderr)

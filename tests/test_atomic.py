@@ -1,8 +1,12 @@
 import os
+import pathlib
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from digitrec._atomic import atomic_open
+from digitrec._atomic import atomic_open, check_output
 
 
 @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])  # not only Exceptions
@@ -44,3 +48,58 @@ def test_an_open_or_rename_error_names_the_target(tmp_path):
         with atomic_open(tmp_path / "out.txt"):
             raise error
     assert caught.value is error
+
+
+def _tree(root):
+    """{relative path: bytes, or None for a directory} under root."""
+    return {str(p.relative_to(root)): None if p.is_dir() else p.read_bytes()
+            for p in pathlib.Path(root).rglob("*")}
+
+
+def _raised(action):
+    """The OSError that action raises, or None."""
+    try:
+        action()
+    except OSError as exc:
+        return exc
+    return None
+
+
+def _write_one_byte(path):
+    with atomic_open(path) as fh:
+        fh.write("x")
+
+
+# Empty, directories, a missing parent, a parent that is a file, trailing
+# slashes, an existing file, a nested new file, and names near NAME_MAX,
+# where the temporary name is longer than the target's.
+_PATHS = st.one_of(
+    st.sampled_from(["", ".", "sub", "missing/out", "file/out", "out/", "sub/", "file/",
+                     "file", "sub/x", "new"]),
+    st.builds(lambda where, n: where + "m" * n, st.sampled_from(["", "sub/"]),
+              st.integers(240, 260)))
+
+
+@settings(deadline=None)
+@given(_PATHS)
+@example("m" * 245 + ".mlp")  # once passed the check, trained, then lost the model
+def test_check_output_raises_exactly_when_a_write_would(path):
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as root:
+        os.chdir(root)  # '' and '.' are relative
+        try:
+            os.mkdir("sub")
+            with open("file", "wb") as fh:
+                fh.write(b"old\n")
+            refused_here = path == "" or os.path.isdir(path)
+            before = _tree(root)
+            checked = _raised(lambda: check_output(path))
+            assert _tree(root) == before
+            written = _raised(lambda: _write_one_byte(path))
+        finally:
+            os.chdir(cwd)
+    assert (checked is None) == (written is None), (checked, written)
+    if checked is not None:
+        assert checked.filename == written.filename == path
+        if not refused_here:
+            assert (type(checked), checked.errno) == (type(written), written.errno)

@@ -82,16 +82,18 @@ def test_parse_sizes_range_and_list():
             parse_sizes(bad)
 
 
-def main_under_2_gib(*argv):
-    """digitrec argv in a child process whose address space is capped at
-    2 GiB, so that a huge allocation fails there at once, never here."""
-    script = ("import resource, sys\n"
+def main_capped(*argv, cwd=None):
+    """digitrec argv in a child process in cwd, its address space capped at
+    2 GiB, so that a huge allocation fails there at once, never here. argv
+    goes as JSON, which carries NUL and lone surrogates."""
+    script = ("import json, resource, sys\n"
               "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
               "from digitrec.cli import main\n"
-              "sys.exit(main(sys.argv[1:]))\n")
+              "sys.exit(main(json.loads(sys.stdin.read())))\n")
     src = os.path.dirname(os.path.dirname(digitrec.__file__))
-    return subprocess.run([sys.executable, "-c", script, *map(str, argv)],
-                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    return subprocess.run([sys.executable, "-c", script], input=json.dumps(list(map(str, argv))),
+                          capture_output=True, encoding="utf-8", errors="backslashreplace",
+                          cwd=cwd, env=dict(os.environ, PYTHONPATH=src))
 
 
 @pytest.mark.parametrize("argv", [
@@ -101,7 +103,7 @@ def main_under_2_gib(*argv):
 ], ids=["train-20-digits", "train-1e10", "sweep-range"])
 def test_sizes_the_model_file_cannot_hold_are_usage_errors(feature_csv, tmp_path, argv):
     # Each once reached exit 3 through a huge allocation.
-    result = main_under_2_gib(argv[0], feature_csv, "--epochs", "1", *argv[1:], tmp_path / "out")
+    result = main_capped(argv[0], feature_csv, "--epochs", "1", *argv[1:], tmp_path / "out")
     assert result.returncode == 1
     assert result.stdout == ""
     assert re.fullmatch(r"digitrec: [^\n]*4294967295[^\n]*\n", result.stderr), result.stderr
@@ -111,8 +113,8 @@ def test_sizes_the_model_file_cannot_hold_are_usage_errors(feature_csv, tmp_path
 def test_a_sweep_of_too_many_sizes_is_a_usage_error(feature_csv, tmp_path):
     # Every size fits the model file, but the range once became a list of
     # 4 billion ints before any check: out of memory, exit 2, under the cap.
-    result = main_under_2_gib("sweep", feature_csv, "--sizes", "1:4294967295:1", "--epochs", "1",
-                              "--report-out", tmp_path / "out")
+    result = main_capped("sweep", feature_csv, "--sizes", "1:4294967295:1", "--epochs", "1",
+                         "--report-out", tmp_path / "out")
     assert result.returncode == 1
     assert result.stdout == ""
     assert result.stderr == (f"digitrec: at most {MAX_SWEEP_SIZES} sizes, not 4294967295, "
@@ -126,8 +128,8 @@ def test_a_sweep_of_too_many_sizes_is_a_usage_error(feature_csv, tmp_path):
 
 def test_a_size_that_does_not_fit_in_memory_is_a_data_error(feature_csv, tmp_path):
     # 4e9 is a size the model file can hold, but its (H, 77) matrix is 2.2 TiB.
-    result = main_under_2_gib("train", feature_csv, "--hidden", "4000000000", "--epochs", "1",
-                              "--model-out", tmp_path / "out")
+    result = main_capped("train", feature_csv, "--hidden", "4000000000", "--epochs", "1",
+                         "--model-out", tmp_path / "out")
     assert result.returncode == 2
     assert result.stdout == ""
     assert re.fullmatch(r"digitrec: out of memory for hidden size 4000000000: [^\n]+\n",
@@ -338,6 +340,16 @@ def test_extract_names_an_unwritable_output_as_given(corpus, tmp_path, monkeypat
     assert os.listdir(tmp_path) == []
 
 
+def test_extract_checks_its_output_before_it_reads_the_corpus(corpus, tmp_path, monkeypatch,
+                                                              capsys):
+    # At the paper's 6,000 scans, a path refused only at the write would
+    # lose the whole extraction; no class line may come before the error.
+    monkeypatch.chdir(tmp_path)
+    assert main(["extract", str(corpus), ""]) == 2
+    assert capsys.readouterr().err == "digitrec: [Errno 2] No such file or directory: ''\n"
+    assert os.listdir(tmp_path) == []
+
+
 _OUTPUT_FLAGS = {"train": ["--model-out"], "crossval": ["--report-out"],
                  "sweep": ["--sizes", "4,5", "--report-out"]}
 
@@ -362,6 +374,28 @@ def test_a_bad_output_path_exits_2_before_the_data_is_read(tmp_path, monkeypatch
     assert captured.out == ""
     assert one_error_line(captured.err).endswith(f": {path!r}")
     assert sorted(os.listdir(tmp_path)) == ["file", "sub"]
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="root may write in any directory")
+@pytest.mark.parametrize("command", ["extract", *sorted(_OUTPUT_FLAGS)])
+def test_an_unwritable_directory_exits_2_before_the_data_is_read(tmp_path, monkeypatch, capsys,
+                                                                 command):
+    # The OS refuses the temporary file, and the check asks the OS.
+    def unreachable(*args, **kwargs):
+        raise AssertionError("reached with a bad output path")
+
+    for name in ("digitrec.cli.load_corpus", "digitrec.cli._load_dataset", "digitrec.mlp.train",
+                 "digitrec.evaluation.train"):
+        monkeypatch.setattr(name, unreachable)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ro").mkdir()
+    (tmp_path / "ro").chmod(0o555)
+    data = ["corpus"] if command == "extract" else ["data.csv", *_OUTPUT_FLAGS[command]]
+    assert main([command, *data, "ro/out"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert one_error_line(captured.err) == "digitrec: [Errno 13] Permission denied: 'ro/out'"
+    assert os.listdir(tmp_path / "ro") == []
 
 
 def test_crossval_checks_its_confusion_path_before_the_data_is_read(tmp_path, monkeypatch,
@@ -913,19 +947,6 @@ def _add_entry(corpus, where, name, kind):
         path.write_bytes(b"P5\n8 8\n255\n" if kind == "broken" else b"")
 
 
-def main_capped(work, argv):
-    """main(argv) in a child process in work, its address space capped at
-    2 GiB; argv goes as JSON, which carries NUL and lone surrogates."""
-    script = ("import json, resource, sys\n"
-              "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
-              "from digitrec.cli import main\n"
-              "sys.exit(main(json.loads(sys.stdin.read())))\n")
-    src = os.path.dirname(os.path.dirname(digitrec.__file__))
-    result = subprocess.run([sys.executable, "-c", script], input=json.dumps(argv).encode(),
-                            capture_output=True, cwd=work, env=dict(os.environ, PYTHONPATH=src))
-    return result.returncode, result.stderr.decode(errors="backslashreplace")
-
-
 def _could_allocate_much(argv):
     """Whether argv holds a layer size that fits the model file, yet not memory."""
     numbers = [int(n) for token in argv for n in re.split(r"[,:]", token) if n.isdecimal()]
@@ -949,7 +970,8 @@ def test_any_argv_exits_0_1_or_2(argv_inputs, tmp_path_factory, argv, entries):
         _add_entry(work / "corpus", *entry)
     argv = [str(work / t[1:]) if t.startswith("@") else t for t in argv]
     if _could_allocate_much(argv):
-        code, err = main_capped(work, argv)
+        result = main_capped(*argv, cwd=work)
+        code, err = result.returncode, result.stderr
     else:
         stderr, cwd = io.StringIO(), os.getcwd()
         os.chdir(work)  # for the default output paths
