@@ -11,13 +11,9 @@ class _Opened(Exception):
 
 def check_output(path) -> None:
     """Raise the OSError that writing path would meet, before any work is
-    done: an empty name or an existing directory here, any other path by
-    creating and removing the temporary file that atomic_open writes."""
-    name = os.fspath(path)
-    if not name or os.path.isdir(name):
-        code = errno.EISDIR if name else errno.ENOENT
-        raise OSError(code, os.strerror(code), name)
-    with contextlib.suppress(_Opened), atomic_open(name):
+    done: atomic_open's own refusals, or the open of the temporary file
+    that atomic_open creates, here removed at once."""
+    with contextlib.suppress(_Opened), atomic_open(path):
         raise _Opened
 
 
@@ -27,24 +23,31 @@ def _naming(path):
     try:
         yield
     except OSError as exc:
-        raise type(exc)(exc.errno, exc.strerror, os.fspath(path)) from exc
+        raise type(exc)(exc.errno, exc.strerror, path) from exc
 
 
 @contextlib.contextmanager
 def atomic_open(path, mode: str = "w", **kwargs):
     """open() for writing a temporary file beside path, renamed over path
-    by os.replace once the block succeeds and removed if it raises. An
-    OSError of the open or of the rename names path, not the temporary
-    file; errors raised in the block pass through as they are."""
-    head, name = os.path.split(os.fspath(path))
-    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    by os.replace once the block succeeds and removed if it raises. As
+    open() does, it refuses an empty name (ENOENT) and a directory, a link
+    to one too (EISDIR), before it creates any file; the rename replaces
+    any other entry, a link or a FIFO too. An OSError of the open or of the
+    rename names path, not the temporary file; errors raised in the block
+    pass through as they are."""
+    name = os.fspath(path)
+    if not name or os.path.isdir(name):
+        code = errno.EISDIR if name else errno.ENOENT
+        raise OSError(code, os.strerror(code), name)
+    head, tail = os.path.split(name)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
     try:
-        with _naming(path):
+        with _naming(name):
             fh = open(tmp, mode, **kwargs)
         with fh:
             yield fh
-        with _naming(path):
-            os.replace(tmp, path)
+        with _naming(name):
+            os.replace(tmp, name)
     except BaseException:
         with contextlib.suppress(OSError):
             os.unlink(tmp)

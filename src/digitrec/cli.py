@@ -155,18 +155,21 @@ def _load_dataset(path_text: str, threshold: int | None,
     return evaluation.Dataset(rows, labels)
 
 
-def _training_config(args) -> mlp.TrainingConfig:
-    """The config of train, crossval and sweep. Each command checks its
-    flags here, then its output paths with check_output, and only then
-    reads its data, so that no bad path waits for the training."""
+def _prepare(args, *outputs) -> tuple[mlp.TrainingConfig, evaluation.Dataset]:
+    """The config and data of train, crossval and sweep. The flags are
+    checked first, then each output path with check_output, and only then
+    is the data read, so that no bad path waits for the training."""
     if getattr(args, "folds", 2) < 2:
         raise UsageError(f"--folds must be at least 2, got {args.folds}")
     try:
-        return mlp.TrainingConfig(
+        config = mlp.TrainingConfig(
             hidden_size=args.hidden, learning_rate=args.lr,
             momentum=args.momentum, max_epochs=args.epochs, seed=args.seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    for path in outputs:
+        check_output(path)
+    return config, _load_dataset(args.data, args.threshold, args.invert)
 
 
 def cmd_extract(args) -> int:
@@ -178,9 +181,7 @@ def cmd_extract(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config = _training_config(args)
-    check_output(args.model_out)
-    data = _load_dataset(args.data, args.threshold, args.invert)
+    config, data = _prepare(args, args.model_out)
     if np.count_nonzero(np.bincount(data.labels)) < 2:
         raise DataError("training needs at least two distinct classes")
     model, history = mlp.train(mlp.init_model(config), data.features, data.labels, config)
@@ -214,11 +215,9 @@ def cmd_predict(args) -> int:
 
 
 def cmd_crossval(args) -> int:
-    config = _training_config(args)
-    check_output(args.report_out)  # first: with_suffix refuses a name such as '' or '.'
-    confusion_path = Path(args.report_out).with_suffix(".confusion.txt")
-    check_output(confusion_path)
-    data = _load_dataset(args.data, args.threshold, args.invert)
+    report_path = Path(args.report_out)  # as with_suffix, which would raise for '' or '.'
+    confusion_path = report_path.parent / f"{report_path.stem}.confusion.txt"
+    config, data = _prepare(args, args.report_out, confusion_path)
     report = evaluation.cross_validate(data, config, args.folds)
     evaluation.write_report_csv(args.report_out, report)
     with atomic_open(confusion_path) as fh:
@@ -229,9 +228,7 @@ def cmd_crossval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    config = _training_config(args)
-    check_output(args.report_out)
-    data = _load_dataset(args.data, args.threshold, args.invert)
+    config, data = _prepare(args, args.report_out)
     reports, best = evaluation.sweep_hidden(data, args.sizes, config, args.folds)
     evaluation.write_sweep_csv(args.report_out, reports)
     print(f"wrote {args.report_out}", file=sys.stderr)

@@ -81,8 +81,6 @@ LONGEST_RUN_COUNT = 36
 VALUE_LIMIT = 1e6
 
 CSV_HEADER = ["label"] + [f"f{i}" for i in range(FEATURE_COUNT)]
-# Rows joined into one write: a few hundred kilobytes of text at most.
-CSV_ROWS = 256
 
 DIRECTIONS = ("row", "column", "diag_main", "diag_anti")
 
@@ -307,12 +305,10 @@ def write_features_csv(path: str | Path, labels, features) -> None:
     if not (np.abs(features) <= VALUE_LIMIT).all():
         raise ValueError("feature value non-finite or outside [-1e6, 1e6]")
     # csv.writer's bytes: no name, int or float repr needs quoting, and lines end \r\n.
-    labels = labels.tolist()
     with atomic_open(path, "w", newline="") as fh:
         fh.write(",".join(CSV_HEADER) + "\r\n")
-        for first in range(0, len(labels), CSV_ROWS):
-            rows = zip(labels[first:first + CSV_ROWS], features[first:first + CSV_ROWS].tolist())
-            fh.write("".join([",".join(map(repr, (label, *row))) + "\r\n" for label, row in rows]))
+        fh.writelines(",".join(map(repr, (label, *row.tolist()))) + "\r\n"
+                      for label, row in zip(labels.tolist(), features))
 
 
 def read_features_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:

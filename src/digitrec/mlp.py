@@ -321,6 +321,9 @@ def train(model: MlpModel | list[MlpModel], x: np.ndarray, labels, config: Train
     members = [np.arange(len(inputs))] if one else [np.asarray(r) for r in rows]
     if len(members) != len(models):
         raise ValueError(f"{len(models)} models but {len(members)} arrays of rows")
+    sizes = models[0].layer_sizes
+    if other := next((m.layer_sizes for m in models if m.layer_sizes != sizes), None):
+        raise ValueError(f"models of layer sizes {sizes} and {other} cannot train in lockstep")
     if not all(r.ndim == 1 and r.dtype.kind in "iu" and ((r >= 0) & (r < len(inputs))).all()
                for r in members if r.size):
         raise ValueError(f"rows must be 1-D arrays of ints in 0..{len(inputs) - 1}")
@@ -328,7 +331,6 @@ def train(model: MlpModel | list[MlpModel], x: np.ndarray, labels, config: Train
         raise EmptyDatasetError("cannot train on an empty dataset")
     targets = _targets(models[0], labels, inputs)
 
-    sizes = models[0].layer_sizes
     rngs = [np.random.Generator(np.random.PCG64(config.seed + r)) for r in range(len(models))]
     # One flat row of parameters per run, and one of velocities; _split views the matrices.
     params = np.stack([np.concatenate([w.ravel() for w in m.weights]) for m in models])

@@ -22,7 +22,8 @@ def test_a_failed_block_keeps_the_old_file_and_leaves_no_temporary(tmp_path, err
 
 
 def test_a_failed_rename_leaves_the_target_and_no_temporary(tmp_path):
-    # os.replace cannot put a file over a directory.
+    # os.replace cannot put a file over a directory, so atomic_open refuses
+    # one, as open() does, before it makes its temporary file.
     path = tmp_path / "out"
     path.mkdir()
     (path / "inside.txt").write_text("kept\n")
@@ -51,9 +52,15 @@ def test_an_open_or_rename_error_names_the_target(tmp_path):
 
 
 def _tree(root):
-    """{relative path: bytes, or None for a directory} under root."""
-    return {str(p.relative_to(root)): None if p.is_dir() else p.read_bytes()
-            for p in pathlib.Path(root).rglob("*")}
+    """{relative path: a link's target, "fifo", None for a directory, or a
+    file's bytes} under root."""
+    def entry(p):
+        if p.is_symlink():
+            return os.readlink(p)
+        if p.is_fifo():
+            return "fifo"  # reading it would wait for a writer
+        return None if p.is_dir() else p.read_bytes()
+    return {str(p.relative_to(root)): entry(p) for p in pathlib.Path(root).rglob("*")}
 
 
 def _raised(action):
@@ -70,12 +77,25 @@ def _write_one_byte(path):
         fh.write("x")
 
 
+def _make_tree():
+    """In the working directory: a directory, a file, links to each, a
+    dangling link and a FIFO."""
+    os.mkdir("sub")
+    with open("file", "wb") as fh:
+        fh.write(b"old\n")
+    os.symlink("sub", "dlink")
+    os.symlink("file", "flink")
+    os.symlink("missing", "dangling")
+    os.mkfifo("pipe")
+
+
 # Empty, directories, a missing parent, a parent that is a file, trailing
-# slashes, an existing file, a nested new file, and names near NAME_MAX,
-# where the temporary name is longer than the target's.
+# slashes, an existing file, a nested new file, links to a directory and to a
+# file, a dangling link, a FIFO, and names near NAME_MAX, where the temporary
+# name is longer than the target's.
 _PATHS = st.one_of(
     st.sampled_from(["", ".", "sub", "missing/out", "file/out", "out/", "sub/", "file/",
-                     "file", "sub/x", "new"]),
+                     "file", "sub/x", "new", "dlink", "flink", "dangling", "pipe"]),
     st.builds(lambda where, n: where + "m" * n, st.sampled_from(["", "sub/"]),
               st.integers(240, 260)))
 
@@ -88,10 +108,7 @@ def test_check_output_raises_exactly_when_a_write_would(path):
     with tempfile.TemporaryDirectory() as root:
         os.chdir(root)  # '' and '.' are relative
         try:
-            os.mkdir("sub")
-            with open("file", "wb") as fh:
-                fh.write(b"old\n")
-            refused_here = path == "" or os.path.isdir(path)
+            _make_tree()
             before = _tree(root)
             checked = _raised(lambda: check_output(path))
             assert _tree(root) == before
@@ -101,5 +118,22 @@ def test_check_output_raises_exactly_when_a_write_would(path):
     assert (checked is None) == (written is None), (checked, written)
     if checked is not None:
         assert checked.filename == written.filename == path
-        if not refused_here:
-            assert (type(checked), checked.errno) == (type(written), written.errno)
+        assert (type(checked), checked.errno) == (type(written), written.errno)
+
+
+def test_a_link_to_a_directory_is_refused_and_a_link_or_fifo_is_replaced(tmp_path,
+                                                                        monkeypatch):
+    # open() follows a link to a directory and refuses it, and so do the check
+    # and the write; the rename follows nothing, so any other entry at the
+    # target becomes the new regular file and what a link pointed to is kept.
+    monkeypatch.chdir(tmp_path)
+    _make_tree()
+    for action in (check_output, _write_one_byte):
+        with pytest.raises(IsADirectoryError) as caught:
+            action("dlink")
+        assert caught.value.filename == "dlink"
+    assert os.readlink("dlink") == "sub" and os.listdir("sub") == []
+    for name in ("flink", "pipe"):
+        _write_one_byte(name)
+        assert _tree(tmp_path)[name] == b"x"
+    assert _tree(tmp_path)["file"] == b"old\n"

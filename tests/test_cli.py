@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import digitrec
-from digitrec.cli import (MAX_SWEEP_SIZES, _load_dataset, _training_config, build_parser, main,
+from digitrec.cli import (MAX_SWEEP_SIZES, _load_dataset, _prepare, build_parser, main,
                           parse_sizes, parse_threshold, UsageError)
 from digitrec.evaluation import format_accuracy, make_toy_dataset, toy_glyph
 from digitrec.features import CSV_HEADER, read_features_csv, write_features_csv
@@ -159,7 +159,7 @@ def test_training_config_holds_only_what_the_flags_set(monkeypatch):
     args = build_parser().parse_args(["train", "d"])
     monkeypatch.setattr("digitrec.mlp.TrainingConfig", spy)
     with pytest.raises(RuntimeError, match="config built"):
-        _training_config(args)
+        _prepare(args)
     names = [f.name for f in dataclasses.fields(TrainingConfig)]
     assert sorted(seen) == sorted(names) == [
         "hidden_size", "learning_rate", "max_epochs", "momentum", "seed"]
@@ -330,9 +330,8 @@ def one_error_line(err):
 
 
 def test_extract_names_an_unwritable_output_as_given(corpus, tmp_path, monkeypatch, capsys):
-    # The rename of the temporary file fails; the message once named that
-    # file ('..4242.tmp' -> ''). The training commands check their paths
-    # first, in the test below.
+    # The error names the path as given, never a temporary file such as
+    # '..4242.tmp': atomic_open refuses '' before it makes one.
     monkeypatch.chdir(tmp_path)
     assert main(["extract", str(corpus), ""]) == 2
     line = one_error_line(capsys.readouterr().err)

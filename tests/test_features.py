@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from digitrec.evaluation import make_toy_dataset
-from digitrec.features import (CENTROID_COUNT, CSV_HEADER, CSV_ROWS, DIRECTIONS,
+from digitrec.features import (CENTROID_COUNT, CSV_HEADER, DIRECTIONS,
                                FEATURE_COUNT, LONGEST_RUN_COUNT, SHADOW_COUNT,
                                centroid_features, extract_features,
                                longest_run_features, longest_runs_by_line,
@@ -474,10 +474,10 @@ CSV_EXTREMES = [0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 2.2250738585072009e
 @given(arrays(np.float64, st.tuples(st.integers(1, 3), st.just(FEATURE_COUNT)),
               elements=st.one_of(st.floats(-1e6, 1e6), st.sampled_from(CSV_EXTREMES),
                                  st.integers(-10**6, 10**6).map(float))),
-       arrays(np.int64, 3, elements=st.integers(0, 9)), st.integers(0, 2 * CSV_ROWS + 1))
+       arrays(np.int64, 3, elements=st.integers(0, 9)), st.integers(0, 513))
 def test_feature_csv_bytes_are_csv_writers(tmp_path_factory, block, label_block, n):
-    # Subnormals, signed zeros and whole numbers included; n rows, tiled
-    # from the drawn ones, cross the writer's chunks of CSV_ROWS rows.
+    # Subnormals, signed zeros and whole numbers included, in n rows tiled
+    # from the drawn ones.
     features, labels = np.resize(block, (n, FEATURE_COUNT)), np.resize(label_block, n)
     want = io.StringIO(newline="")
     writer = csv.writer(want)

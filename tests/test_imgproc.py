@@ -58,11 +58,14 @@ def test_binarize_is_complementary():
 def test_binarize_rejects_bad_threshold():
     with pytest.raises(ValueError):
         binarize(np.zeros((2, 2), dtype=np.uint8), 256)
+    with pytest.raises(ValueError, match="threshold 300 outside 0..255"):
+        normalize_image(np.zeros((2, 2), dtype=np.uint8), 300)
 
 
 def test_binarize_rejects_a_non_2d_image():
-    with pytest.raises(ValueError, match="2-D"):
-        binarize(np.zeros(4, dtype=np.uint8), 128)
+    for function in (binarize, normalize_image):
+        with pytest.raises(ValueError, match="expected a 2-D image"):
+            function(np.zeros(4, dtype=np.uint8), 128)
 
 
 def test_bilinear_identity_at_same_size():

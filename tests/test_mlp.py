@@ -1,6 +1,7 @@
 import math
 import os
 import platform
+import re
 import struct
 import subprocess
 import sys
@@ -392,6 +393,18 @@ def test_train_rejects_bad_data():
                       (np.zeros((2, 4)), [0.0, 1.0])):  # a float label is no index
         with pytest.raises(DimensionMismatchError):
             train(model, x, labels, small_config())
+
+
+@pytest.mark.parametrize("other", [[6, 2, 1], [2, 4, 2]])
+def test_lockstep_runs_must_share_their_layer_sizes(other):
+    # [6, 2, 1] holds the 17 parameters of [2, 3, 2], so every epoch once ran
+    # and only the write-back failed; [2, 4, 2] failed in np.stack.
+    models = [random_model([2, 3, 2], 1), random_model(other, 2)]
+    before = [w.copy() for m in models for w in m.weights]
+    x = np.random.default_rng(0).uniform(size=(6, 2))
+    with pytest.raises(ValueError, match=re.escape(f"layer sizes [2, 3, 2] and {other}")):
+        train(models, x, [0, 1] * 3, small_config(), [np.arange(6)] * 2)
+    assert all((a == b).all() for a, b in zip(before, (w for m in models for w in m.weights)))
 
 
 def test_diverged_training_names_the_learning_rate_and_the_layer():
