@@ -30,16 +30,16 @@ def _naming(path):
 def atomic_open(path, mode: str = "w", **kwargs):
     """open() for writing a temporary file beside path, renamed over path
     by os.replace once the block succeeds and removed if it raises. As
-    open() does, it refuses an empty name (ENOENT) and a directory, a link
-    to one too (EISDIR), before it creates any file; the rename replaces
-    any other entry, a link or a FIFO too. An OSError of the open or of the
-    rename names path, not the temporary file; errors raised in the block
-    pass through as they are."""
+    open() does, it takes a str, bytes or path-like path, and refuses an
+    empty name (ENOENT) and a directory, a link to one too (EISDIR), before
+    it creates any file; the rename replaces any other entry, a link or a
+    FIFO too. An OSError of the open or of the rename names path as given,
+    not the temporary file; errors raised in the block pass through."""
     name = os.fspath(path)
     if not name or os.path.isdir(name):
         code = errno.EISDIR if name else errno.ENOENT
         raise OSError(code, os.strerror(code), name)
-    head, tail = os.path.split(name)
+    head, tail = os.path.split(os.fsdecode(name))
     tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
     try:
         with _naming(name):

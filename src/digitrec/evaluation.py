@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from ._atomic import atomic_open
-from .features import FEATURE_COUNT, digit_labels, extract_features
+from .features import digit_labels, extract_features
 from .imgproc import GRID
 from .mlp import OUTPUT_SIZE, TrainingConfig, forward, init_model, train
 
@@ -262,14 +262,13 @@ def make_toy_dataset(per_class: int, noise: float, seed: int) -> Dataset:
     if not 0 <= noise <= 1:
         raise ValueError("noise must lie in [0, 1]")
     rng = np.random.Generator(np.random.PCG64(seed))
-    rows = np.empty((OUTPUT_SIZE, per_class, FEATURE_COUNT))
+    glyphs = np.empty((OUTPUT_SIZE, per_class, GRID, GRID), dtype=np.uint8)
     for label in range(OUTPUT_SIZE):
         padded = np.pad(toy_glyph(label), 2)  # a shift never wraps around
-        for row in rows[label]:
+        for img in glyphs[label]:
             dr, dc = rng.integers(-2, 3, size=2)
-            img = padded[2 - dr:2 - dr + GRID, 2 - dc:2 - dc + GRID]
+            img[:] = padded[2 - dr:2 - dr + GRID, 2 - dc:2 - dc + GRID]
             if noise > 0:
-                flips = rng.random((GRID, GRID)) < noise
-                img = np.where(flips, 1 - img, img).astype(np.uint8)
-            row[:] = extract_features(img)
-    return Dataset(rows.reshape(-1, FEATURE_COUNT), np.repeat(np.arange(OUTPUT_SIZE), per_class))
+                img ^= rng.random((GRID, GRID)) < noise  # flip 0 and 1
+    features = extract_features(glyphs.reshape(-1, GRID, GRID))
+    return Dataset(features, np.repeat(np.arange(OUTPUT_SIZE), per_class))

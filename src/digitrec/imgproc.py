@@ -12,10 +12,20 @@ import numpy as np
 
 GRID = 32
 DEFAULT_THRESHOLD = 128
+# Keyed by invert: the extreme level that decides whether a row or column
+# holds ink, and binarize's ink test. fmin and fmax skip NaN, which is never ink.
+_INK_RULE = {False: (np.fmin, np.less), True: (np.fmax, np.greater_equal)}
 
 
 class NoForegroundError(ValueError):
     """Raised when an image contains no ink at the chosen threshold."""
+
+
+def _checked(threshold):
+    """threshold, or a ValueError if it lies outside 0..255."""
+    if not 0 <= threshold <= 255:
+        raise ValueError(f"threshold {threshold} outside 0..255")
+    return threshold
 
 
 def binarize(gray: np.ndarray, threshold: int = DEFAULT_THRESHOLD,
@@ -29,11 +39,7 @@ def binarize(gray: np.ndarray, threshold: int = DEFAULT_THRESHOLD,
     gray = np.asarray(gray)
     if gray.ndim != 2:
         raise ValueError(f"expected a 2-D image, got shape {gray.shape}")
-    if not 0 <= threshold <= 255:
-        raise ValueError(f"threshold {threshold} outside 0..255")
-    if invert:
-        return (gray >= threshold).astype(np.uint8)
-    return (gray < threshold).astype(np.uint8)
+    return _INK_RULE[invert][1](gray, _checked(threshold)).astype(np.uint8)
 
 
 def otsu_threshold(gray: np.ndarray) -> int:
@@ -111,14 +117,13 @@ def bilinear_resize(src: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 
 def _ink_crop(gray: np.ndarray, cut, invert: bool) -> np.ndarray | None:
     """gray cropped to the bounding box of its ink at cut, or None without
-    ink. binarize's rule decides: a row or column holds ink when its extreme
-    level does. An image that is not 2-D or has no pixels is a ValueError."""
+    ink. _INK_RULE decides: a row or column holds ink when its extreme level
+    does. An image that is not 2-D or has no pixels is a ValueError."""
     if gray.ndim != 2:
         raise ValueError(f"expected a 2-D image, got shape {gray.shape}")
     if gray.size == 0:
         raise ValueError("cannot threshold an image with no pixels")
-    # fmin and fmax skip NaN, which binarize never counts as ink.
-    extreme, inked = (np.fmax, np.greater_equal) if invert else (np.fmin, np.less)
+    extreme, inked = _INK_RULE[invert]
     rows = np.flatnonzero(inked(extreme.reduce(gray, axis=1), cut))
     if not rows.size:
         return None
@@ -142,9 +147,7 @@ def normalize_image(gray: np.ndarray, threshold: int | None = DEFAULT_THRESHOLD,
     image with no pixels.
     """
     gray = np.asarray(gray)
-    t = otsu_threshold(gray) if threshold is None else threshold
-    if not 0 <= t <= 255:
-        raise ValueError(f"threshold {t} outside 0..255")
+    t = _checked(otsu_threshold(gray) if threshold is None else threshold)
     crop = _ink_crop(gray, t, invert)
     if crop is None:
         raise NoForegroundError("image has no foreground pixels")
@@ -159,10 +162,10 @@ def normalize_images(grays, threshold: int | None = DEFAULT_THRESHOLD,
     Returns an (m, 32, 32) uint8 stack of the rasters of the m scans
     that have ink, in order, and an (n,) bool vector marking those
     scans. Each raster equals normalize_image's bit for bit: Otsu runs
-    over the stacked histograms, each scan is cropped by normalize_image's
-    rule, all crops are sampled into one stack with bilinear_resize's
-    sampling grid and per-element arithmetic, and the stack is thresholded
-    once. A scan with no pixels raises ValueError, as in normalize_image.
+    over the stacked histograms, each scan is cropped by _ink_crop, all
+    crops are sampled into one stack with bilinear_resize's sampling grid
+    and per-element arithmetic, and the stack takes _INK_RULE's test once.
+    A scan with no pixels raises ValueError, as in normalize_image.
     """
     grays = list(grays)
     if not all(isinstance(g, np.ndarray) and g.dtype == np.uint8 and g.ndim == 2 for g in grays):
@@ -170,10 +173,8 @@ def normalize_images(grays, threshold: int | None = DEFAULT_THRESHOLD,
     if threshold is None:
         hists = [np.bincount(gray.ravel(), minlength=256) for gray in grays]
         cuts = otsu_thresholds(np.reshape(hists, (len(grays), 256)))
-    elif 0 <= threshold <= 255:
-        cuts = np.full(len(grays), threshold)
     else:
-        raise ValueError(f"threshold {threshold} outside 0..255")
+        cuts = np.full(len(grays), _checked(threshold))
     crops = [_ink_crop(gray, cut, invert) for gray, cut in zip(grays, cuts.tolist())]
     found = np.array([crop is not None for crop in crops], dtype=bool)
     crops = [crop for crop in crops if crop is not None]
@@ -193,5 +194,4 @@ def normalize_images(grays, threshold: int | None = DEFAULT_THRESHOLD,
     top = sample(y0, x0) * (1 - fx) + sample(y0, x1) * fx
     bottom = sample(y1, x0) * (1 - fx) + sample(y1, x1) * fx
     scaled = top * (1 - fy) + bottom * fy
-    inked = np.greater_equal if invert else np.less
-    return inked(scaled, cuts[found][:, None, None]).view(np.uint8), found
+    return _INK_RULE[invert][1](scaled, cuts[found][:, None, None]).view(np.uint8), found

@@ -137,3 +137,14 @@ def test_a_link_to_a_directory_is_refused_and_a_link_or_fifo_is_replaced(tmp_pat
         _write_one_byte(name)
         assert _tree(tmp_path)[name] == b"x"
     assert _tree(tmp_path)["file"] == b"old\n"
+
+
+def test_a_bytes_path_is_written_and_refused_as_open_does(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # b"" and b"." are relative
+    _write_one_byte(b"out.txt")
+    assert _tree(tmp_path) == {"out.txt": b"x"}
+    for path in (b"", b".", b"missing/x"):
+        checked, opened = _raised(lambda: check_output(path)), _raised(lambda: open(path, "w"))
+        assert (type(checked), checked.errno) == (type(opened), opened.errno), path
+        assert checked.filename == opened.filename == path
+    assert _tree(tmp_path) == {"out.txt": b"x"}

@@ -291,6 +291,9 @@ def pgm_files(draw):
 @example(b"P2\n2 1\n255\n0001000 7\n")
 @example(b"P2\n2 1\n255\n0000000000000000000255 007\n")
 @example(b"P2\n2 1\n255\n0\x1c7\n")  # bytes.split() does not split at \x1c
+@example(b"P2\n2 1\n255\n1000 7\n")  # the shortest token over 999
+@example(b"P2\n1 1\n255\n\n")  # no sample: numpy's text parser reads one
+@example(b"P2\n2 1\n255\n65536 0\n")  # a uint16 parse wraps 65536 to 0
 def test_read_pgm_agrees_with_oracle(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("pgm") / "img.pgm"
     path.write_bytes(data)
