@@ -64,7 +64,7 @@ def parse_sizes(spec: str) -> list[int]:
             if start > end:
                 raise UsageError(f"size range {spec!r} runs backwards")
             # Bounded and counted before the range becomes a list.
-            listed, count = [end], len(range(start, end + 1, step))
+            listed, count = [end], (end - start) // step + 1
         else:
             listed = [int(p) for p in spec.split(",")]
             count = len(listed)
@@ -109,28 +109,24 @@ def load_corpus(root: str | Path, threshold: int | None,
     rows: list[np.ndarray] = []
     labels: list[int] = []
     skipped: list[str] = []
-
-    def extract(paths: list[Path], grays: list[np.ndarray]) -> np.ndarray:
-        """Feature rows of the scans with ink; a warning for each other scan."""
-        rasters, found = imgproc.normalize_images(grays, threshold, invert)
-        for path in itertools.compress(paths, ~found):
-            print(f"warning: no ink in {path}, skipped", file=sys.stderr)
-            skipped.append(str(path))
-        return features.extract_features(rasters)
-
     for class_dir in class_dirs:
         label = int(class_dir.name)
         paths = [p for p in sorted(class_dir.iterdir())
                  if p.is_file() and p.suffix.lower() == ".pgm"]
         for first in range(0, len(paths), CHUNK):
-            chunk, grays = paths[first:first + CHUNK], []
+            chunk, grays, error = paths[first:first + CHUNK], [], None
             try:
                 for path in chunk:
                     grays.append(pgm.read_pgm(path))
             except (pgm.PgmError, OSError) as exc:
-                extract(chunk, grays)  # the scans before it warn first, as one at a time
-                raise DataError(f"{path}: {exc}") from exc
-            rows.append(extract(chunk, grays))
+                error = exc  # raised once the scans before it have warned, as one at a time
+            rasters, found = imgproc.normalize_images(grays, threshold, invert)
+            for blank in itertools.compress(chunk, ~found):
+                print(f"warning: no ink in {blank}, skipped", file=sys.stderr)
+                skipped.append(str(blank))
+            if error is not None:
+                raise DataError(f"{path}: {error}") from error
+            rows.append(features.extract_features(rasters))
             labels += [label] * len(rows[-1])
         print(f"class {label}: {labels.count(label)} samples", file=sys.stderr)
     if not labels:

@@ -202,7 +202,27 @@ def format_confusion(mat: np.ndarray) -> str:
 # ---------------------------------------------------------------------------
 # Synthetic glyph corpus
 
-_STROKE = (14, 18)  # column/row band of the thick bar glyphs
+def _toy_glyphs() -> np.ndarray:
+    """The ten archetypes as a (10, 32, 32) uint8 table, from shared parts:
+    the 4..27 box, the 14..17 bars inside it and the distance from the center."""
+    rr, cc = np.ogrid[:GRID, :GRID]
+    box = (4 <= rr) & (rr < 28) & (4 <= cc) & (cc < 28)
+    vbar, hbar = box & (14 <= cc) & (cc < 18), box & (14 <= rr) & (rr < 18)
+    dist = np.hypot(rr - 15.5, cc - 15.5)
+    return np.stack([
+        vbar, hbar,                                             # 0, 1 vertical, horizontal bar
+        box & (abs(rr - cc) <= 1), box & (abs(rr + cc - 31) <= 1),  # 2, 3 NW-SE, NE-SW diagonal
+        (8 <= dist) & (dist <= 11),                             # 4 ring
+        vbar | hbar,                                            # 5 cross
+        box & (6 <= cc) & ((cc < 10) | (24 <= rr) & (cc < 26)),  # 6 L
+        vbar | box & (rr < 8),                                  # 7 T
+        dist <= 9,                                              # 8 filled disc
+        # 9 zig-zag: three strokes 3 wide through knees on rows 4, 11, 18 and 25
+        box & (rr <= 25) & (abs(cc - np.interp(rr, [4, 11, 18, 25], [6, 20, 6, 20])) <= 1),
+    ]).astype(np.uint8)
+
+
+_TOY_GLYPHS = _toy_glyphs()
 
 
 def toy_glyph(label: int) -> np.ndarray:
@@ -213,41 +233,9 @@ def toy_glyph(label: int) -> np.ndarray:
     projections, octant balance, and run structure, which is exactly
     what the feature vector measures.
     """
-    img = np.zeros((GRID, GRID), dtype=np.uint8)
-    lo, hi = 4, 28
-    a, b = _STROKE
-    rr, cc = np.mgrid[0:GRID, 0:GRID]
-    center_dist = np.hypot(rr - 15.5, cc - 15.5)
-    if label == 0:      # vertical bar
-        img[lo:hi, a:b] = 1
-    elif label == 1:    # horizontal bar
-        img[a:b, lo:hi] = 1
-    elif label == 2:    # NW-SE diagonal stroke
-        img[(abs(rr - cc) <= 1) & (rr >= lo) & (rr < hi) & (cc >= lo) & (cc < hi)] = 1
-    elif label == 3:    # NE-SW diagonal stroke
-        img[(abs(rr + cc - 31) <= 1) & (rr >= lo) & (rr < hi) & (cc >= lo) & (cc < hi)] = 1
-    elif label == 4:    # ring
-        img[(center_dist >= 8) & (center_dist <= 11)] = 1
-    elif label == 5:    # cross
-        img[lo:hi, a:b] = 1
-        img[a:b, lo:hi] = 1
-    elif label == 6:    # L
-        img[lo:hi, 6:10] = 1
-        img[24:hi, 6:26] = 1
-    elif label == 7:    # T
-        img[lo:8, lo:hi] = 1
-        img[lo:hi, a:b] = 1
-    elif label == 8:    # filled disc
-        img[center_dist <= 9] = 1
-    elif label == 9:    # zig-zag
-        knees = [(4, 6), (11, 20), (18, 6), (25, 20)]
-        for (r0, c0), (r1, c1) in zip(knees, knees[1:]):
-            for r in range(r0, r1 + 1):
-                c = round(c0 + (c1 - c0) * (r - r0) / (r1 - r0))
-                img[r, max(0, c - 1):c + 2] = 1
-    else:
+    if label not in range(OUTPUT_SIZE):  # by value, so 2.0 and True are labels, 1.5 is not
         raise ValueError(f"label {label} outside 0..9")
-    return img
+    return _TOY_GLYPHS[int(label)].copy()
 
 
 def make_toy_dataset(per_class: int, noise: float, seed: int) -> Dataset:
@@ -262,13 +250,12 @@ def make_toy_dataset(per_class: int, noise: float, seed: int) -> Dataset:
     if not 0 <= noise <= 1:
         raise ValueError("noise must lie in [0, 1]")
     rng = np.random.Generator(np.random.PCG64(seed))
-    glyphs = np.empty((OUTPUT_SIZE, per_class, GRID, GRID), dtype=np.uint8)
-    for label in range(OUTPUT_SIZE):
-        padded = np.pad(toy_glyph(label), 2)  # a shift never wraps around
-        for img in glyphs[label]:
-            dr, dc = rng.integers(-2, 3, size=2)
-            img[:] = padded[2 - dr:2 - dr + GRID, 2 - dc:2 - dc + GRID]
-            if noise > 0:
-                img ^= rng.random((GRID, GRID)) < noise  # flip 0 and 1
-    features = extract_features(glyphs.reshape(-1, GRID, GRID))
-    return Dataset(features, np.repeat(np.arange(OUTPUT_SIZE), per_class))
+    padded = np.pad(_TOY_GLYPHS, ((0, 0), (2, 2), (2, 2)))  # a shift never wraps around
+    labels = np.repeat(np.arange(OUTPUT_SIZE), per_class)
+    glyphs = np.empty((labels.size, GRID, GRID), dtype=np.uint8)
+    for img, label in zip(glyphs, labels):
+        dr, dc = rng.integers(-2, 3, size=2)
+        img[:] = padded[label, 2 - dr:2 - dr + GRID, 2 - dc:2 - dc + GRID]
+        if noise > 0:
+            img ^= rng.random((GRID, GRID)) < noise  # flip 0 and 1
+    return Dataset(extract_features(glyphs), labels)

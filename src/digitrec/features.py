@@ -311,13 +311,25 @@ def write_features_csv(path: str | Path, labels, features) -> None:
                       for label, row in zip(labels.tolist(), features))
 
 
+def _not_utf8(path: str | Path) -> str:
+    """The path, physical line and byte of the file's first byte that is not UTF-8."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len((data[:exc.start] + b".").splitlines())  # lines end at \r, \n or \r\n, as csv's do
+        return f"{path}:{line}: byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})"
+    return f"{path}: not UTF-8 (the file changed while it was read)"
+
+
 def read_features_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """Read a feature CSV into an (n,) int64 label vector and an (n, 76)
-    float64 matrix; any bad field is a ValueError naming the path and the
-    physical line on which its record starts.
+    float64 matrix; any bad field, or a byte that is not UTF-8, is a
+    ValueError naming the path and the physical line on which its record
+    starts, or that holds the byte.
     """
     labels, values = array("q"), array("d")
-    with open(path, newline="") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
             if next(reader, None) != CSV_HEADER:
@@ -341,4 +353,6 @@ def read_features_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
                 values.fromlist(row)
         except csv.Error as exc:
             raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+        except UnicodeDecodeError:  # its offset is in a chunk the reader decoded, not the file
+            raise ValueError(_not_utf8(path)) from None
     return np.frombuffer(labels, np.int64), np.frombuffer(values).reshape(-1, FEATURE_COUNT)

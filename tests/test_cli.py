@@ -507,6 +507,25 @@ def test_train_rejects_an_oversized_field(feature_csv, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("train", ["--model-out", "m.mlp"]),
+    ("crossval", ["--report-out", "report.csv"]),
+    ("sweep", ["--sizes", "3", "--report-out", "sweep.csv"]),
+])
+def test_a_byte_that_is_not_utf8_is_named_by_its_line(feature_csv, tmp_path, capsys,
+                                                       command, flags):
+    # The codec's own message named neither the file nor the line.
+    lines = feature_csv.read_bytes().split(b"\r\n")
+    lines[2] = lines[2][:40] + b"\xff" + lines[2][40:]
+    data = tmp_path / "bad.csv"
+    data.write_bytes(b"\r\n".join(lines))
+    out = tmp_path / flags[-1]
+    assert main([command, str(data), *flags[:-1], str(out), "--epochs", "1"]) == 2
+    assert capsys.readouterr().err == (
+        f"digitrec: {data}:3: byte 0xff is not UTF-8 (invalid start byte)\n")
+    assert not out.exists()
+
+
 def test_train_rejects_a_huge_feature(feature_csv, tmp_path, capsys):
     # Finite values this large would overflow the sums of a training step.
     lines = feature_csv.read_text().splitlines()
@@ -891,6 +910,7 @@ _VALUES = {
 }
 _ODD = ["", "x", "-", "--", "\x00", "\udcff", "a\nb", "٣", "²", "-1", "1.5", "nan", "inf",
         "3,2", "1,1", "3:1:1", "1:3:0", "1:2:3:4", "1:1001:1", "1:4294967296:1",
+        "1:9223372036854775808:1",
         "@corpus", "@corpus/0", "@features.csv", "@model.mlp", "@missing", "@new/out.csv", "@"]
 _ENTRY_NAMES = ["0", "1", "2", "10", "٣", "²", " 3", "3 ", "s.pgm", ".pgm",
                 "S.PGM", "a\nb.pgm", "\udcff.pgm", "-1"]
@@ -958,6 +978,10 @@ def _could_allocate_much(argv):
 @example(["extract", "@corpus", "\x00"], [])  # once exit 3: embedded null byte
 @example(["train", "@features.csv", "--hidden", "4000000000", "--epochs", "1"], [])
 @example(["sweep", "@corpus", "--sizes", "1,4294967295", "--folds", "2", "--epochs", "1"], [])
+# Once exit 3: a range longer than 2**63 - 1 overflowed len(range(...)).
+@example(["sweep", "@features.csv", "--sizes", "1:9223372036854775808:1", "--epochs", "1"], [])
+@example(["sweep", "@features.csv", "--sizes", "0:99999999999999999999:1", "--epochs", "1"], [])
+@example(["sweep", "@features.csv", "--sizes", "-99999999999999999999:5:1", "--epochs", "1"], [])
 @example(["crossval", "@corpus", "--hidden", "4294967295", "--folds", "2", "--epochs", "1"],
          [("", "2", "dir"), ("2", "a\nb.pgm", "broken")])
 def test_any_argv_exits_0_1_or_2(argv_inputs, tmp_path_factory, argv, entries):

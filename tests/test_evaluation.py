@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -303,8 +304,23 @@ def test_toy_glyphs_are_canonical_and_distinct():
     for i in range(10):
         for j in range(i + 1, 10):
             assert (rasters[i] != rasters[j]).any()
-    with pytest.raises(ValueError):
-        toy_glyph(10)
+
+
+@pytest.mark.parametrize("label", [-1, 10, 1.5, "3"])
+def test_toy_glyph_refuses_a_label_outside_0_to_9(label):
+    # A bare lookup in a table of the ten glyphs would draw -1 as the zig-zag.
+    with pytest.raises(ValueError, match=f"^label {re.escape(str(label))} outside 0..9$"):
+        toy_glyph(label)
+
+
+@pytest.mark.parametrize("label, same", [(np.int64(3), 3), (np.uint8(9), 9), (True, 1), (2.0, 2)])
+def test_toy_glyph_takes_its_label_by_value(label, same):
+    # A bare lookup would give True a (1, 32, 32) stack and refuse 2.0.
+    glyph = toy_glyph(label)
+    assert glyph.dtype == np.uint8 and glyph.shape == (32, 32)
+    np.testing.assert_array_equal(glyph, toy_glyph(same))
+    glyph[:] = 0  # a copy, so the next call still draws the glyph
+    assert toy_glyph(same).any()
 
 
 def test_toy_dataset_counts_and_determinism():

@@ -522,6 +522,12 @@ def test_feature_csv_rejects_malformed_input(tmp_path):
         path.write_text(",".join(CSV_HEADER) + "\n" + row + "\n")
         with pytest.raises(ValueError, match=f"{path}:2: {message}"):
             read_features_csv(path)
+    # A byte that is not UTF-8 is named by the physical line that holds it,
+    # lines ending at \r, \n or \r\n as the reader's do, at a line's start too.
+    row = "3," + ",".join(["0.0"] * 76)
+    path.write_bytes(f"{','.join(CSV_HEADER)}\r\n{row}\r{row}\n".encode() + b"\xe9" + row.encode())
+    with pytest.raises(ValueError, match=f"{path}:4: byte 0xe9 is not UTF-8"):
+        read_features_csv(path)
     # Finite values outside [0, 1] are still accepted.
     rows = [",".join(CSV_HEADER), "3," + ",".join(["-2.5"] * 75 + ["7.0"])]
     path.write_text("\n".join(rows) + "\n")
