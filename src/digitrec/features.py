@@ -65,13 +65,14 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from array import array
 from pathlib import Path
 
 import numpy as np
 
 from ._atomic import atomic_open
-from .imgproc import GRID
+from .imgproc import GRID, _whole
 
 FEATURE_COUNT = 76
 SHADOW_COUNT = 24
@@ -191,9 +192,14 @@ def _line_maxima(rows: np.ndarray, flat: np.ndarray, table: np.ndarray, dtype) -
     # ends blank, so no run reaches into the next line or raster.
     lines = np.concatenate([rows, np.zeros((len(rows), 1), dtype=bool)], axis=1).take(flat, axis=1)
     line = lines.ravel()
-    # Runs of ink or blank start at cell 0 and at each change.
-    starts = np.flatnonzero(line != np.append(~line[:1], line[:-1]))
-    length = np.diff(starts, append=line.size)
+    # Runs of ink or blank start at cell 0 and at each change; the last
+    # runs to the end. The slices keep an empty stack's empty line working.
+    change = np.ones(line.size, dtype=bool)
+    np.not_equal(line[1:], line[:-1], out=change[1:])
+    starts = np.flatnonzero(change)
+    length = np.empty_like(starts)
+    np.subtract(starts[1:], starts[:-1], out=length[:-1])
+    length[-1:] = line.size - starts[-1:]
     runs = np.repeat((length * line[starts]).astype(dtype, copy=False), length).reshape(lines.shape)
     return np.ascontiguousarray(runs.T).take(table, axis=0).max(axis=0)
 
@@ -243,15 +249,16 @@ def longest_runs_by_line(img: np.ndarray, rows: tuple[int, int],
     """Per scan line, the longest full-image run touching the window.
 
     The window is rows[0]..rows[1] by cols[0]..cols[1], both ends
-    inclusive. Runs extend across the whole image; only the touch test
-    uses the window. Lines are ordered by row (or by column for the
-    "column" direction); diagonal directions visit one line per offset
-    that crosses the window.
+    inclusive; a bound that is not an integer is a ValueError. Runs
+    extend across the whole image; only the touch test uses the window.
+    Lines are ordered by row (or by column for the "column" direction);
+    diagonal directions visit one line per offset that crosses the window.
     """
     img = np.asarray(img)
     if img.ndim != 2:
         raise ValueError(f"expected a 2-D raster, got shape {img.shape}")
     h, w = img.shape
+    rows, cols = (tuple(_whole(bound, "window bound") for bound in pair) for pair in (rows, cols))
     (r0, r1), (c0, c1) = rows, cols
     if not (0 <= r0 <= r1 < h and 0 <= c0 <= c1 < w):
         raise ValueError(f"window {rows}x{cols} outside a {h}x{w} raster")
@@ -323,11 +330,13 @@ def _not_utf8(path: str | Path) -> str:
 
 
 def read_features_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a feature CSV into an (n,) int64 label vector and an (n, 76)
+    """Read a feature CSV, given by a str, bytes or path-like path (an int
+    is a TypeError), into an (n,) int64 label vector and an (n, 76)
     float64 matrix; any bad field, or a byte that is not UTF-8, is a
     ValueError naming the path and the physical line on which its record
     starts, or that holds the byte.
     """
+    path = os.fsdecode(path)  # never an int: open() would read and close that descriptor
     labels, values = array("q"), array("d")
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)

@@ -8,6 +8,9 @@ stage consumes the canonical form produced by normalize_image: a
 
 from __future__ import annotations
 
+import functools
+import operator
+
 import numpy as np
 
 GRID = 32
@@ -19,6 +22,24 @@ _INK_RULE = {False: (np.fmin, np.less), True: (np.fmax, np.greater_equal)}
 
 class NoForegroundError(ValueError):
     """Raised when an image contains no ink at the chosen threshold."""
+
+
+def _whole(value, what: str) -> int:
+    """value as an int, or a ValueError naming it where operator.index
+    refuses it: 2.5 and 4.0 are not sizes or indices."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} {value!r} is not an integer") from None
+
+
+def _image(gray: np.ndarray) -> np.ndarray:
+    """gray, or a ValueError unless it is 2-D with at least one pixel."""
+    if gray.ndim != 2:
+        raise ValueError(f"expected a 2-D image, got shape {gray.shape}")
+    if gray.size == 0:
+        raise ValueError("cannot threshold an image with no pixels")
+    return gray
 
 
 def _checked(threshold):
@@ -95,6 +116,20 @@ def _sample_grid(sizes, out: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return lower, np.minimum(lower + 1, sizes - 1), pos - lower
 
 
+@functools.lru_cache(maxsize=256)
+def _axis_grid(length: int, out: int) -> tuple[np.ndarray, ...]:
+    """_sample_grid of one source length at out outputs, with the upper
+    weight's complement, all four read-only. Memoised for outputs of at
+    most GRID: a lone scan's crop lengths repeat, and each entry of at
+    most 32 outputs holds about 1.5 KB, so the 256 entries hold at most
+    about 400 KB. A longer output calls __wrapped__, uncached."""
+    lower, upper, frac = _sample_grid(length, out)
+    grid = lower, upper, frac, 1 - frac
+    for array in grid:
+        array.flags.writeable = False
+    return grid
+
+
 def bilinear_resize(src: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Resample a grayscale array to (out_h, out_w) by bilinear blending.
 
@@ -103,26 +138,27 @@ def bilinear_resize(src: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     source corners and same-size resampling is the identity. Aspect
     ratio is not preserved; each axis stretches independently. The
     source's own samples are gathered and then blended in float64. An
-    output size below 1 raises ValueError.
+    output side that is not an integer or is below 1, and a source that
+    is not 2-D or has no pixels, raise ValueError. The sampling grid of
+    an axis of at most GRID outputs comes from a memo of 256 entries
+    keyed by (source length, output length).
     """
+    out_h, out_w = _whole(out_h, "output side"), _whole(out_w, "output side")
     if out_h < 1 or out_w < 1:
         raise ValueError(f"output size {out_h}x{out_w}: each side must be at least 1")
-    src = np.asarray(src)
+    src = _image(np.asarray(src))
     h, w = src.shape
-    y0, y1, fy = _sample_grid(h, out_h)
-    x0, x1, fx = _sample_grid(w, out_w)
-    cols = src[:, x0] * (1 - fx) + src[:, x1] * fx  # every source row, at the output columns
-    return cols[y0] * (1 - fy[:, None]) + cols[y1] * fy[:, None]
+    y0, y1, fy, gy = (_axis_grid if out_h <= GRID else _axis_grid.__wrapped__)(h, out_h)
+    x0, x1, fx, gx = (_axis_grid if out_w <= GRID else _axis_grid.__wrapped__)(w, out_w)
+    cols = src[:, x0] * gx + src[:, x1] * fx  # every source row, at the output columns
+    return cols[y0] * gy[:, None] + cols[y1] * fy[:, None]
 
 
 def _ink_crop(gray: np.ndarray, cut, invert: bool) -> np.ndarray | None:
     """gray cropped to the bounding box of its ink at cut, or None without
     ink. _INK_RULE decides: a row or column holds ink when its extreme level
     does. An image that is not 2-D or has no pixels is a ValueError."""
-    if gray.ndim != 2:
-        raise ValueError(f"expected a 2-D image, got shape {gray.shape}")
-    if gray.size == 0:
-        raise ValueError("cannot threshold an image with no pixels")
+    _image(gray)
     extreme, inked = _INK_RULE[invert]
     rows = np.flatnonzero(inked(extreme.reduce(gray, axis=1), cut))
     if not rows.size:

@@ -11,6 +11,7 @@ preallocated buffers that train reuses from step to step.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -405,8 +406,9 @@ def save_model(path, model: MlpModel) -> None:
 
 
 def load_model(path) -> MlpModel:
-    """Read a file written by save_model, verifying every byte is used."""
-    with open(path, "rb") as fh:
+    """Read a file written by save_model, verifying every byte is used.
+    The path is a str, bytes or path-like, never an int (TypeError)."""
+    with open(os.fspath(path), "rb") as fh:
         data = fh.read()
 
     def take(n: int, what: str) -> bytes:

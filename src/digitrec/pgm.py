@@ -12,6 +12,7 @@ by ASCII whitespace or "#" comments, a comment running to its line end.
 
 from __future__ import annotations
 
+import os
 import re
 from pathlib import Path
 
@@ -37,11 +38,13 @@ def read_pgm(path: str | Path) -> np.ndarray:
     With maxval below 255 each sample v becomes the nearest integer to
     v * 255 / maxval, (v * 255 + maxval // 2) // maxval.
 
+    The path is a str, bytes or path-like, never an int (TypeError).
     Raises PgmError on a bad magic number, malformed header, maxval
     above 255, a P2 sample other than digits (leading zeros allowed, at
     most 3 significant), or a raster with the wrong number of samples.
     """
-    data = Path(path).read_bytes()
+    with open(os.fspath(path), "rb") as fh:  # an int would open as a file descriptor
+        data = fh.read()
     match = _HEADER.match(data)
     if match is None:
         if data.lstrip()[:2] not in (b"P2", b"P5"):

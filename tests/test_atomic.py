@@ -2,11 +2,15 @@ import os
 import pathlib
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from digitrec._atomic import atomic_open, check_output
+from digitrec.features import FEATURE_COUNT, read_features_csv, write_features_csv
+from digitrec.mlp import load_model, random_model, save_model
+from digitrec.pgm import read_pgm, write_pgm
 
 
 @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])  # not only Exceptions
@@ -148,3 +152,32 @@ def test_a_bytes_path_is_written_and_refused_as_open_does(tmp_path, monkeypatch)
         assert (type(checked), checked.errno) == (type(opened), opened.errno), path
         assert checked.filename == opened.filename == path
     assert _tree(tmp_path) == {"out.txt": b"x"}
+
+
+def test_readers_refuse_an_int_path_as_the_writers_do_and_leave_it_open(tmp_path):
+    # open(3) would read descriptor 3 and close it: load_model(0) would eat stdin.
+    path = tmp_path / "any"
+    path.write_bytes(b"P5\n1 1\n255\n\x00")
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        for reader in (read_pgm, load_model, read_features_csv):
+            with pytest.raises(TypeError, match="not int"):
+                reader(fd)
+            os.fstat(fd)  # still open
+        with pytest.raises(TypeError, match="not int"):
+            write_pgm(fd, np.zeros((1, 1)))
+    finally:
+        os.close(fd)
+
+
+def test_a_bytes_path_round_trips_through_each_reader(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    img = np.arange(12, dtype=np.uint8).reshape(3, 4)
+    write_pgm(b"x.pgm", img)
+    np.testing.assert_array_equal(read_pgm(b"x.pgm"), img)
+    model = random_model([FEATURE_COUNT, 3, 10], seed=0)
+    save_model(b"x.mlp", model)
+    assert all(np.array_equal(a, b) for a, b in zip(load_model(b"x.mlp").weights, model.weights))
+    write_features_csv(b"x.csv", [7], np.full((1, FEATURE_COUNT), 0.5))
+    labels, values = read_features_csv(b"x.csv")
+    assert labels.tolist() == [7] and (values == 0.5).all()

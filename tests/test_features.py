@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import io
+import re
 import sys
 from pathlib import Path
 
@@ -318,6 +319,12 @@ def test_runs_by_line_rejects_bad_arguments():
         for bad in (np.full((4, 4), value), np.where(np.eye(4), value, 0)):
             with pytest.raises(ValueError, match="0/1 binary"):
                 longest_runs_by_line(bad, (0, 3), (0, 3), "row")
+    # A bound operator.index refuses is no row or column: (0.5, 3.5) must not scan rows 1..3.
+    for rows, cols, bad in (((0.5, 3.5), (0, 15), "0.5"), ((0, 15), (0, 15.0), "15.0"),
+                            ((0, "3"), (0, 15), "'3'")):
+        with pytest.raises(ValueError, match=re.escape(f"window bound {bad} is not an integer")):
+            longest_runs_by_line(img, rows, cols, "row")
+    assert longest_runs_by_line(img, (np.int64(0), np.uint8(3)), (0, 15), "row") == [0] * 4
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +400,7 @@ def test_runs_by_line_equals_oracle(case):
 # one. Every row of a stack must still equal the oracles on its raster.
 @settings(deadline=None, max_examples=50)
 @given(st.lists(rasters, max_size=5))
+@example(imgs=[])  # extract sends an empty stack for a chunk of blank scans
 def test_each_row_of_a_stack_equals_the_oracles(imgs):
     stack = np.reshape(imgs, (len(imgs), GRID, GRID)).astype(np.uint8)
     shadows, centroids, runs = (shadow_features(stack), centroid_features(stack),

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from digitrec import imgproc
 from digitrec.imgproc import (GRID, NoForegroundError, binarize, bilinear_resize,
                               normalize_image, otsu_threshold, otsu_thresholds)
 
@@ -138,6 +140,61 @@ def test_bilinear_refuses_an_output_size_below_1(axis):
     out = [5, 5]
     out[axis] = 1
     assert bilinear_resize(np.ones((3, 3)), *out).shape == tuple(out)
+
+
+@pytest.mark.parametrize("out", [(2.5, 4), (4, 2.5), (4.0, 4), (4, np.float64(3)), (4, "4")])
+def test_bilinear_refuses_an_output_side_that_is_not_an_integer(out):
+    # A side of 2.5 must not give 3 rows, nor put a grid in the memo.
+    imgproc._axis_grid.cache_clear()
+    bad = next(side for side in out if not isinstance(side, int))
+    with pytest.raises(ValueError, match=re.escape(f"output side {bad!r} is not an integer")):
+        bilinear_resize(np.ones((3, 3)), *out)
+    assert imgproc._axis_grid.cache_info().currsize == 0
+    assert bilinear_resize(np.ones((3, 3)), np.int64(4), np.uint8(5)).shape == (4, 5)
+
+
+@pytest.mark.parametrize("shape, message", [((0, 5), "no pixels"), ((5, 0), "no pixels"),
+                                            ((5,), "expected a 2-D image"),
+                                            ((2, 2, 2), "expected a 2-D image")])
+def test_bilinear_refuses_a_source_that_is_not_2d_or_has_no_pixels(shape, message):
+    # The refusal comes before the memo, so no grid of length 0 is cached.
+    imgproc._axis_grid.cache_clear()
+    with pytest.raises(ValueError, match=message):
+        bilinear_resize(np.zeros(shape), 4, 4)
+    assert imgproc._axis_grid.cache_info().currsize == 0
+
+
+def test_the_grid_memo_gives_the_uncached_bytes_through_eviction():
+    imgproc._axis_grid.cache_clear()
+    rng = np.random.Generator(np.random.PCG64(5))
+    lengths = range(1, imgproc._axis_grid.cache_info().maxsize + 40)
+    for _ in range(2):  # the second pass meets the keys the first evicted
+        for length in lengths:
+            src = rng.random((length, length % 5 + 1))
+            want = four_gather_bilinear(src, GRID, 7).tobytes()
+            for _ in range(2):  # a miss, then a hit
+                assert bilinear_resize(src, GRID, 7).tobytes() == want
+            lower, upper, frac = imgproc._sample_grid(length, GRID)
+            for got, expected in zip(imgproc._axis_grid(length, GRID),
+                                     (lower, upper, frac, 1 - frac)):
+                assert got.tobytes() == expected.tobytes()
+    info = imgproc._axis_grid.cache_info()
+    assert info.currsize == info.maxsize and info.hits > 2 * len(lengths)
+
+
+def test_the_memoised_grids_refuse_a_write():
+    for array in imgproc._axis_grid(40, GRID):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
+def test_an_output_side_above_grid_is_not_memoised():
+    imgproc._axis_grid.cache_clear()
+    src = np.ones((5, 6))
+    assert bilinear_resize(src, GRID + 1, 10**3).shape == (GRID + 1, 10**3)
+    assert imgproc._axis_grid.cache_info().currsize == 0
+    bilinear_resize(src, GRID + 1, GRID)
+    assert imgproc._axis_grid.cache_info().currsize == 1
 
 
 def test_normalize_uniform_dark_input():
